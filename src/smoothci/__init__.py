@@ -11,7 +11,6 @@ from .gauss import (
     Phi,
     Phi_interval,
     QuadratureRule,
-    integrate_against_shifted_normal,
     phi,
     quadrature_rule,
     z_quantile,
@@ -38,7 +37,6 @@ from .kernel import (
     FittedModel,
     PretestSpec,
     k,
-    m_k,
     pms_estimate,
     q,
     r,
@@ -69,7 +67,6 @@ __all__ = [
     "Phi",
     "Phi_interval",
     "QuadratureRule",
-    "integrate_against_shifted_normal",
     "phi",
     "quadrature_rule",
     "z_quantile",
@@ -92,7 +89,6 @@ __all__ = [
     "FittedModel",
     "PretestSpec",
     "k",
-    "m_k",
     "pms_estimate",
     "q",
     "r",

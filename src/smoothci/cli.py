@@ -27,20 +27,18 @@ import numpy as np
 
 from . import linmod, oracle
 from .intervals import (
+    _COVERAGE_BY_RULE,
+    _SEL_BY_RULE,
     CurveTable,
     IntervalRule,
     Quantity,
     Scenario,
     build_interval,
-    coverage_sd,
-    coverage_sd_delta,
     curve,
     min_coverage,
-    sel_sd,
-    sel_sd_delta,
 )
 from .gauss import z_quantile
-from .kernel import ConsistencyError, FittedModel, PretestSpec, r, r_delta
+from .kernel import ConsistencyError, PretestSpec, r
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -53,6 +51,9 @@ VERIFY_RHOS = (0.0, 0.4, 0.7)
 #: A Monte Carlo standard error above this is flagged as wide in the
 #: verify report (comparison still runs).
 WIDE_SE = 0.005
+#: Size of the preliminary test when neither --pretest-size nor
+#: --cutoff-d is given.
+DEFAULT_PRETEST_SIZE = 0.1
 
 
 class CLIError(Exception):
@@ -68,7 +69,11 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated flag set for one invocation; commands read only this."""
+    """Validated flag set for one invocation; commands read only this.
+
+    The field defaults are the flag defaults: the parser reads them,
+    and they stand for flags a subcommand does not have.
+    """
 
     command: str
     rho: float = 0.0
@@ -101,26 +106,29 @@ def _build_parser() -> _Parser:
     def add_pretest(p: _Parser) -> None:
         group = p.add_mutually_exclusive_group()
         group.add_argument("--pretest-size", type=float, default=None,
-                           help="size of the preliminary test (default 0.1)")
+                           help="size of the preliminary test "
+                                f"(default {DEFAULT_PRETEST_SIZE:g})")
         group.add_argument("--cutoff-d", type=float, default=None,
                            help="cutoff d of the preliminary test (alternative to --pretest-size)")
-        p.add_argument("--alpha", type=float, default=0.05,
-                       help="1 - nominal coverage (default 0.05)")
+        p.add_argument("--alpha", type=float, default=RunConfig.alpha,
+                       help="1 - nominal coverage (default %(default)g)")
+
+    def add_grid(p: _Parser) -> None:
+        p.add_argument("--gamma-max", type=float, default=RunConfig.gamma_max)
+        p.add_argument("--step", type=float, default=RunConfig.step)
 
     p_curve = sub.add_parser("curve", help="tabulate one quantity over a gamma grid")
     p_curve.add_argument("--quantity", required=True,
                          choices=[q.value for q in Quantity])
     p_curve.add_argument("--rho", type=float, required=True)
     add_pretest(p_curve)
-    p_curve.add_argument("--gamma-max", type=float, default=10.0)
-    p_curve.add_argument("--step", type=float, default=0.05)
+    add_grid(p_curve)
     p_curve.add_argument("--out", default=None, help="output CSV path (default stdout)")
 
     p_fig = sub.add_parser("figure1", help="emit the two-panel headline dataset")
     p_fig.add_argument("--rho", type=float, default=0.7)
     add_pretest(p_fig)
-    p_fig.add_argument("--gamma-max", type=float, default=10.0)
-    p_fig.add_argument("--step", type=float, default=0.05)
+    add_grid(p_fig)
     p_fig.add_argument("--out", default="figure1",
                        help="output prefix; writes PREFIX_top.csv and PREFIX_bottom.csv")
 
@@ -128,7 +136,7 @@ def _build_parser() -> _Parser:
     p_cmin.add_argument("--rho", type=float, required=True)
     add_pretest(p_cmin)
     p_cmin.add_argument("--rules", default="sd,sd_delta,pms",
-                        help="comma-separated rules (default sd,sd_delta,pms)")
+                        help="comma-separated rules (default %(default)s)")
     p_cmin.add_argument("--out", default=None, help="optional CSV path")
 
     p_fit = sub.add_parser("fit", help="fit CSV data and print the four intervals")
@@ -143,33 +151,32 @@ def _build_parser() -> _Parser:
 
     p_verify = sub.add_parser("verify", help="Monte Carlo vs analytic agreement suite")
     add_pretest(p_verify)
-    p_verify.add_argument("--reps", type=int, default=oracle.DEFAULT_REPLICATIONS)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--tolerance", type=float, default=3.0,
-                          help="|z| threshold for each comparison (default 3)")
+    p_verify.add_argument("--reps", type=int, default=RunConfig.replications)
+    p_verify.add_argument("--seed", type=int, default=RunConfig.seed)
+    p_verify.add_argument("--tolerance", type=float, default=RunConfig.tolerance,
+                          help="|z| threshold for each comparison (default %(default)g)")
     return parser
 
 
 def _resolve_spec(args: argparse.Namespace) -> PretestSpec:
-    size = getattr(args, "pretest_size", None)
-    cutoff = getattr(args, "cutoff_d", None)
     try:
-        if cutoff is not None:
-            return PretestSpec.from_cutoff(cutoff)
-        return PretestSpec.from_size(size if size is not None else 0.1)
+        if args.cutoff_d is not None:
+            return PretestSpec.from_cutoff(args.cutoff_d)
+        size = args.pretest_size
+        return PretestSpec.from_size(DEFAULT_PRETEST_SIZE if size is None else size)
     except ValueError as exc:
         raise CLIError(str(exc)) from exc
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     spec = _resolve_spec(args)
-    alpha = float(getattr(args, "alpha", 0.05))
+    alpha = float(args.alpha)
     if not 0.0 < alpha < 1.0:
         raise CLIError(f"--alpha must be in (0, 1), got {alpha}")
 
-    rho = float(getattr(args, "rho", 0.0))
-    gamma_max = float(getattr(args, "gamma_max", 10.0))
-    step = float(getattr(args, "step", 0.05))
+    rho = float(getattr(args, "rho", RunConfig.rho))
+    gamma_max = float(getattr(args, "gamma_max", RunConfig.gamma_max))
+    step = float(getattr(args, "step", RunConfig.step))
     if args.command in ("curve", "figure1"):
         if step <= 0.0:
             raise CLIError(f"--step must be positive, got {step}")
@@ -197,17 +204,17 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             if rule is IntervalRule.FULL_MODEL:
                 raise CLIError("--rules: full_model has constant coverage, nothing to minimize")
 
-    replications = int(getattr(args, "reps", oracle.DEFAULT_REPLICATIONS))
+    replications = int(getattr(args, "reps", RunConfig.replications))
     if args.command == "verify" and replications < 1:
         raise CLIError(f"--reps must be >= 1, got {replications}")
-    seed = int(getattr(args, "seed", 0))
+    seed = int(getattr(args, "seed", RunConfig.seed))
     if not 0 <= seed < 2**64:
         raise CLIError("--seed must be a nonnegative 64-bit integer")
-    tolerance = float(getattr(args, "tolerance", 3.0))
+    tolerance = float(getattr(args, "tolerance", RunConfig.tolerance))
     if args.command == "verify" and not tolerance > 0.0:
         raise CLIError(f"--tolerance must be positive, got {tolerance}")
 
-    sigma = getattr(args, "sigma", 1.0)
+    sigma = getattr(args, "sigma", RunConfig.sigma)
     if args.command == "fit" and not (math.isfinite(sigma) and sigma > 0.0):
         raise CLIError(f"--sigma must be positive, got {sigma}")
 
@@ -376,12 +383,8 @@ def cmd_verify(config: RunConfig) -> int:
             # exact standard deviation is r; r_delta only shapes the
             # interval width, so the sd comparison is always against r.
             sd_true = float(r(gamma, rho, config.spec))
-            if rule is IntervalRule.SD:
-                cp = coverage_sd(scenario, config.spec, config.alpha)
-                sel_true = sel_sd(scenario, config.spec, config.alpha, c_min)
-            else:
-                cp = coverage_sd_delta(scenario, config.spec, config.alpha)
-                sel_true = sel_sd_delta(scenario, config.spec, config.alpha, c_min)
+            cp = _COVERAGE_BY_RULE[rule](scenario, config.spec, config.alpha)
+            sel_true = _SEL_BY_RULE[rule](scenario, config.spec, config.alpha, c_min)
             plan = oracle.SimPlan(
                 replications=config.replications,
                 seed=int(seeds[cell_idx * len(rules) + rule_idx]),

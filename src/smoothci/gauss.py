@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -205,10 +205,16 @@ class QuadratureRule:
 
 
 @lru_cache(maxsize=None)
+def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1]."""
+    return leggauss(order)
+
+
+@lru_cache(maxsize=None)
 def _rule_cached(
     half_width: float, panels: int, order: int, breakpoints: tuple[float, ...]
 ) -> QuadratureRule:
-    base_x, base_w = leggauss(order)
+    base_x, base_w = _legendre(order)
     edges = np.linspace(-half_width, half_width, panels + 1)
     if breakpoints:
         edges = np.unique(np.concatenate([edges, np.asarray(breakpoints, dtype=float)]))
@@ -224,16 +230,11 @@ def _rule_cached(
         if kept[-1] < edges[-1]:
             kept[-1] = float(edges[-1])
         edges = np.asarray(kept)
-    nodes = []
-    weights = []
-    for e0, e1 in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (e0 + e1)
-        half = 0.5 * (e1 - e0)
-        nodes.append(mid + half * base_x)
-        weights.append(half * base_w)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
     return QuadratureRule(
-        nodes=np.concatenate(nodes),
-        weights=np.concatenate(weights),
+        nodes=(mid[:, None] + half[:, None] * base_x).ravel(),
+        weights=(half[:, None] * base_w).ravel(),
         support=(-half_width, half_width),
     )
 
@@ -259,52 +260,3 @@ def quadrature_rule(
         raise ValueError("quadrature_rule: half_width must be positive")
     bp = tuple(sorted(float(b) for b in breakpoints if -half_width < float(b) < half_width))
     return _rule_cached(float(half_width), int(panels), int(order), bp)
-
-
-def integrate_against_shifted_normal(
-    f: Callable[[np.ndarray], np.ndarray],
-    gamma: float,
-    *,
-    breakpoints: Iterable[float] = (),
-    panels: int = DEFAULT_PANELS,
-    order: int = DEFAULT_ORDER,
-    half_width: float = HALF_WIDTH,
-) -> float:
-    """Integral of f(h) * phi(h - gamma) dh over the truncated support.
-
-    Parameters
-    ----------
-    f:
-        Integrand, evaluated at arrays of h values.  A scalar-only
-        callable works too; it is applied pointwise.
-    gamma:
-        Center of the normal density.  The support is
-        [gamma - half_width, gamma + half_width].
-    breakpoints:
-        Locations (in h) where f jumps or has a kink.  Panels are split
-        there.
-    panels, order, half_width:
-        Engine knobs; defaults match the package-wide fixed rule.
-
-    A non-finite value of f at any node aborts the integration with an
-    error, never a silent wrong value.
-    """
-    gamma = float(gamma)
-    if not math.isfinite(gamma):
-        raise ValueError("integrate_against_shifted_normal: gamma must be finite")
-    std_breaks = (float(b) - gamma for b in breakpoints)
-    rule = quadrature_rule(
-        panels=panels, order=order, half_width=half_width, breakpoints=std_breaks
-    )
-    z = rule.nodes
-    try:
-        vals = np.asarray(f(gamma + z), dtype=float)
-    except (TypeError, ValueError):
-        vals = None
-    if vals is None or vals.shape != z.shape:
-        vals = np.fromiter((float(f(gamma + zi)) for zi in z), dtype=float, count=z.size)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError(
-            "integrate_against_shifted_normal: integrand returned a non-finite value"
-        )
-    return float(np.dot(rule.weights, phi(z) * vals))

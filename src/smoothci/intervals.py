@@ -12,11 +12,20 @@ Four interval constructions share one centering-plus-half-width shape:
 * ``SD_DELTA``: same center, scale factor r_delta from the local slope
   of the smoothing kernel instead of the exact moments.
 
+Each rule is one entry of ``kernel.RULES``: a center shift and a
+half-width factor, both functions of the standardized restriction
+statistic, plus the statistic values where the rule jumps.
+build_interval and the two integrals below read the rule from there
+and nowhere else.
+
 Coverage probabilities and scaled expected lengths are deterministic
 one-dimensional integrals against a shifted normal density, evaluated
 on the fixed quadrature engine.  They depend on the unknown true
 parameters only through the standardized restriction offset gamma and
-the design correlation rho, bundled as a Scenario.
+the design correlation rho, bundled as a Scenario.  The coverage
+functions take the engine's ``panels=`` and ``order=`` knobs, so a
+refined rule can serve as a reference; the length functions, the
+minimizer and the curve tables always use the default rule.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ import numpy as np
 
 from . import gauss, kernel
 from .gauss import Phi_interval, phi, z_quantile
-from .kernel import RHO_MAX, FittedModel, PretestSpec
+from .kernel import RHO_MAX, FittedModel, IntervalRule, PretestSpec
 
 #: Tolerance on the minimized coverage value implied by stopping the
 #: golden-section refinement at a gamma resolution of GAMMA_TOL.
@@ -40,15 +49,6 @@ SEARCH_GAMMA_MAX = 12.0
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
-
-
-class IntervalRule(str, enum.Enum):
-    """Which construction centers and scales the interval."""
-
-    SD = "sd"
-    SD_DELTA = "sd_delta"
-    PMS = "pms"
-    FULL_MODEL = "full_model"
 
 
 class Quantity(str, enum.Enum):
@@ -62,6 +62,13 @@ class Quantity(str, enum.Enum):
 
 
 _COVERAGE_QUANTITIES = frozenset({Quantity.CP, Quantity.CP_DELTA, Quantity.CP_PMS})
+_RULE_BY_QUANTITY = {
+    Quantity.CP: IntervalRule.SD,
+    Quantity.CP_DELTA: IntervalRule.SD_DELTA,
+    Quantity.CP_PMS: IntervalRule.PMS,
+    Quantity.SEL: IntervalRule.SD,
+    Quantity.SEL_DELTA: IntervalRule.SD_DELTA,
+}
 
 
 @dataclass(frozen=True)
@@ -124,8 +131,10 @@ class MinCoverageReport:
     refinement_tolerance: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.c_min < 1.0:
-            raise ValueError("MinCoverageReport: c_min must be in (0, 1)")
+        # A true minimum below the smallest double reads 0.0: a result,
+        # not bad input.
+        if not 0.0 <= self.c_min < 1.0:
+            raise ValueError("MinCoverageReport: c_min must be in [0, 1)")
         if not self.argmin_gamma >= 0.0:
             raise ValueError("MinCoverageReport: argmin_gamma must be >= 0")
         if self.search_grid_step <= 0.0 or self.refinement_tolerance <= 0.0:
@@ -184,21 +193,9 @@ def build_interval(
     which = IntervalRule(which)
     z_a = z_quantile(1.0 - 0.5 * alpha)
     scale = fit.sigma * math.sqrt(fit.v_theta)
-    if which is IntervalRule.FULL_MODEL:
-        center = fit.theta_hat
-        half_width = z_a * scale
-    elif which is IntervalRule.PMS:
-        center = kernel.pms_estimate(fit, spec)
-        if abs(fit.gamma_hat) <= spec.d:
-            half_width = z_a * scale * math.sqrt(1.0 - fit.rho * fit.rho)
-        else:
-            half_width = z_a * scale
-    elif which is IntervalRule.SD:
-        center = kernel.smoothed_estimate(fit, spec)
-        half_width = z_a * scale * float(kernel.r(fit.gamma_hat, fit.rho, spec))
-    else:
-        center = kernel.smoothed_estimate(fit, spec)
-        half_width = z_a * scale * float(kernel.r_delta(fit.gamma_hat, fit.rho, spec))
+    center = kernel._center(fit, spec, which)
+    factor = kernel.RULES[which].factor(fit.gamma_hat, fit.rho, spec)
+    half_width = z_a * scale * float(factor)
     lower = center - half_width
     upper = center + half_width
     return IntervalReport(
@@ -211,25 +208,40 @@ def build_interval(
     )
 
 
-def _coverage_sd_generic(
+def _coverage(
     scenario: Scenario,
     spec: PretestSpec,
     alpha: float,
-    scale_fn,
+    which: IntervalRule,
     panels: int,
     order: int,
 ) -> float:
+    """Exact coverage probability of rule ``which``'s interval.
+
+    Conditioning on the standardized restriction statistic h turns the
+    coverage event into a normal interval probability: the interval
+    covers when the standardized estimate lies within z * factor(h) of
+    shift(h), and given h that estimate is N(rho * (h - gamma),
+    1 - rho^2).  Integrating against the density of h gives a single
+    absolutely convergent integral.  Panels are split where the rule
+    jumps, so no panel straddles a discontinuity.
+    """
+    alpha = _check_alpha(alpha)
+    geometry = kernel.RULES[which]
     z_a = z_quantile(1.0 - 0.5 * alpha)
     rho = scenario.rho
-    rule = gauss.quadrature_rule(panels=panels, order=order)
+    gamma = scenario.gamma
+    rule = gauss.quadrature_rule(
+        panels=panels,
+        order=order,
+        breakpoints=[jump - gamma for jump in geometry.jumps(spec)],
+    )
     zeta = rule.nodes
     mass = rule.weights * phi(zeta)
-    h = scenario.gamma + zeta
-    rv = np.asarray(scale_fn(h))
-    kv = np.asarray(kernel.k(h, spec))
-    lo = -z_a * rv + rho * kv
-    hi = z_a * rv + rho * kv
-    terms = Phi_interval(lo, hi, rho * zeta, 1.0 - rho * rho)
+    h = gamma + zeta
+    shift = geometry.shift(h, rho, spec)
+    half = z_a * geometry.factor(h, rho, spec, panels=panels, order=order)
+    terms = Phi_interval(shift - half, shift + half, rho * zeta, 1.0 - rho * rho)
     if not np.all(np.isfinite(terms)):
         raise RuntimeError("coverage integrand produced a non-finite value")
     cp = float(mass @ terms)
@@ -248,22 +260,10 @@ def coverage_sd(
 ) -> float:
     """Exact coverage probability of the SD interval.
 
-    Conditioning on the standardized restriction statistic turns the
-    coverage event into a normal interval probability; integrating the
-    conditional probability against the statistic's density gives a
-    single absolutely convergent integral, evaluated here on the fixed
-    rule.  Even in gamma and in rho; equal to 1 - alpha for every
-    gamma when rho = 0.
+    Even in gamma and in rho; equal to 1 - alpha for every gamma when
+    rho = 0.
     """
-    alpha = _check_alpha(alpha)
-    return _coverage_sd_generic(
-        scenario,
-        spec,
-        alpha,
-        lambda h: kernel.r(h, scenario.rho, spec, panels=panels, order=order),
-        panels,
-        order,
-    )
+    return _coverage(scenario, spec, alpha, IntervalRule.SD, panels, order)
 
 
 def coverage_sd_delta(
@@ -274,20 +274,8 @@ def coverage_sd_delta(
     panels: int = gauss.DEFAULT_PANELS,
     order: int = gauss.DEFAULT_ORDER,
 ) -> float:
-    """Exact coverage probability of the SD_DELTA interval.
-
-    Identical in structure to coverage_sd with the delta-method scale
-    factor in place of the exact one.
-    """
-    alpha = _check_alpha(alpha)
-    return _coverage_sd_generic(
-        scenario,
-        spec,
-        alpha,
-        lambda h: kernel.r_delta(h, scenario.rho, spec),
-        panels,
-        order,
-    )
+    """Exact coverage probability of the SD_DELTA interval."""
+    return _coverage(scenario, spec, alpha, IntervalRule.SD_DELTA, panels, order)
 
 
 def coverage_pms(
@@ -301,33 +289,11 @@ def coverage_pms(
     """Exact coverage probability of the naive post-selection interval.
 
     The conditional coverage jumps where the pretest flips, at
-    standardized statistic values +-d, so the quadrature panels are
-    split there.  At rho = 0 both branches reduce to the full-width
-    interval and the coverage is identically 1 - alpha.
+    standardized statistic values +-d.  At rho = 0 both branches reduce
+    to the full-width interval and the coverage is identically
+    1 - alpha.
     """
-    alpha = _check_alpha(alpha)
-    z_a = z_quantile(1.0 - 0.5 * alpha)
-    rho = scenario.rho
-    gamma = scenario.gamma
-    rule = gauss.quadrature_rule(
-        panels=panels,
-        order=order,
-        breakpoints=(-spec.d - gamma, spec.d - gamma),
-    )
-    zeta = rule.nodes
-    mass = rule.weights * phi(zeta)
-    h = gamma + zeta
-    accept = np.abs(h) <= spec.d
-    narrow = z_a * math.sqrt(1.0 - rho * rho)
-    lo = np.where(accept, rho * h - narrow, -z_a)
-    hi = np.where(accept, rho * h + narrow, z_a)
-    terms = Phi_interval(lo, hi, rho * zeta, 1.0 - rho * rho)
-    if not np.all(np.isfinite(terms)):
-        raise RuntimeError("coverage integrand produced a non-finite value")
-    cp = float(mass @ terms)
-    if not 0.0 <= cp <= 1.0:
-        raise RuntimeError(f"coverage integrated to {cp}, outside [0, 1]")
-    return cp
+    return _coverage(scenario, spec, alpha, IntervalRule.PMS, panels, order)
 
 
 _COVERAGE_BY_RULE = {
@@ -365,9 +331,7 @@ def min_coverage(
     which: IntervalRule,
     *,
     grid_step: float = SEARCH_GRID_STEP,
-    gamma_max: float = SEARCH_GAMMA_MAX,
-    panels: int = gauss.DEFAULT_PANELS,
-    order: int = gauss.DEFAULT_ORDER,
+    gamma_max: float | None = None,
 ) -> MinCoverageReport:
     """Minimum over gamma >= 0 of the coverage curve for one rule.
 
@@ -376,20 +340,24 @@ def min_coverage(
     pass refines the minimizer to GAMMA_TOL; the reported c_min never
     exceeds any evaluated coverage.  Far beyond the pretest cutoff the
     smoothing kernel is a normal tail away from zero, so by the default
-    gamma_max the curve must have rejoined 1 - alpha; a minimum still
-    sitting on the boundary, or a boundary value away from 1 - alpha,
-    aborts the search rather than reporting a truncated minimum.
+    gamma_max, SEARCH_GAMMA_MAX or the cutoff plus the quadrature half
+    width if that is larger, the curve must have rejoined 1 - alpha; a
+    minimum still sitting on the boundary, or a boundary value away
+    from 1 - alpha, aborts the search rather than reporting a truncated
+    minimum.
     """
     alpha = _check_alpha(alpha)
     which = IntervalRule(which)
     if which not in _COVERAGE_BY_RULE:
         raise ValueError(f"min_coverage: no coverage curve to minimize for rule {which!r}")
+    if gamma_max is None:
+        gamma_max = max(SEARCH_GAMMA_MAX, spec.d + gauss.HALF_WIDTH)
     if grid_step <= 0.0 or gamma_max <= grid_step:
         raise ValueError("min_coverage: need 0 < grid_step < gamma_max")
     cov = _COVERAGE_BY_RULE[which]
 
     def f(g: float) -> float:
-        return cov(Scenario(gamma=float(g), rho=rho), spec, alpha, panels=panels, order=order)
+        return cov(Scenario(gamma=float(g), rho=rho), spec, alpha)
 
     n = int(math.floor(gamma_max / grid_step + 1e-9))
     grid = np.arange(n + 1) * grid_step
@@ -416,76 +384,51 @@ def min_coverage(
     )
 
 
-def _sel_generic(
-    scenario: Scenario,
-    spec: PretestSpec,
-    alpha: float,
-    c_min: float,
-    scale_fn,
-    panels: int,
-    order: int,
+def _scaled_length(
+    scenario: Scenario, spec: PretestSpec, alpha: float, c_min: float, which: IntervalRule
 ) -> float:
+    """Expected half-width factor of rule ``which`` over the flat-rate one.
+
+    The flat-rate interval is centered on the unrestricted estimate and
+    calibrated to confidence level c_min, so the ratio is
+    z_{1 - alpha/2} E[factor(h)] / z_{(1 + c_min)/2}.
+    """
     alpha = _check_alpha(alpha)
     c_min = float(c_min)
     if not 0.0 < c_min < 1.0:
         raise ValueError(f"scaled expected length: c_min must be in (0, 1), got {c_min}")
-    rule = gauss.quadrature_rule(panels=panels, order=order)
+    rule = gauss.quadrature_rule()
     zeta = rule.nodes
     mass = rule.weights * phi(zeta)
-    rv = np.asarray(scale_fn(scenario.gamma + zeta))
-    if not np.all(np.isfinite(rv)):
+    factor = np.asarray(kernel.RULES[which].factor(scenario.gamma + zeta, scenario.rho, spec))
+    if not np.all(np.isfinite(factor)):
         raise RuntimeError("length integrand produced a non-finite value")
     ratio = z_quantile(1.0 - 0.5 * alpha) / z_quantile(0.5 * (1.0 + c_min))
-    return float(ratio * (mass @ rv))
+    return float(ratio * (mass @ factor))
 
 
-def sel_sd(
-    scenario: Scenario,
-    spec: PretestSpec,
-    alpha: float,
-    c_min: float,
-    *,
-    panels: int = gauss.DEFAULT_PANELS,
-    order: int = gauss.DEFAULT_ORDER,
-) -> float:
+def sel_sd(scenario: Scenario, spec: PretestSpec, alpha: float, c_min: float) -> float:
     """Scaled expected length of the SD interval.
 
     Expected length divided by the length of the fixed-width interval
     centered on the unrestricted estimate that achieves confidence
     level c_min, the minimum coverage of the SD interval itself.  Pass
     the c_min obtained from min_coverage for the same rho, spec and
-    alpha; it enters only through the normalizing quantile.
+    alpha; it enters only through the normalizing quantile, which needs
+    0 < c_min < 1.
     """
-    return _sel_generic(
-        scenario,
-        spec,
-        alpha,
-        c_min,
-        lambda h: kernel.r(h, scenario.rho, spec, panels=panels, order=order),
-        panels,
-        order,
-    )
+    return _scaled_length(scenario, spec, alpha, c_min, IntervalRule.SD)
 
 
-def sel_sd_delta(
-    scenario: Scenario,
-    spec: PretestSpec,
-    alpha: float,
-    c_min: float,
-    *,
-    panels: int = gauss.DEFAULT_PANELS,
-    order: int = gauss.DEFAULT_ORDER,
-) -> float:
+def sel_sd_delta(scenario: Scenario, spec: PretestSpec, alpha: float, c_min: float) -> float:
     """Scaled expected length of the SD_DELTA interval; see sel_sd."""
-    return _sel_generic(
-        scenario,
-        spec,
-        alpha,
-        c_min,
-        lambda h: kernel.r_delta(h, scenario.rho, spec),
-        panels,
-        order,
-    )
+    return _scaled_length(scenario, spec, alpha, c_min, IntervalRule.SD_DELTA)
+
+
+_SEL_BY_RULE = {
+    IntervalRule.SD: sel_sd,
+    IntervalRule.SD_DELTA: sel_sd_delta,
+}
 
 
 def curve(
@@ -495,9 +438,6 @@ def curve(
     alpha: float,
     gamma_max: float,
     step: float,
-    *,
-    panels: int = gauss.DEFAULT_PANELS,
-    order: int = gauss.DEFAULT_ORDER,
 ) -> CurveTable:
     """Tabulate one quantity on the grid gamma_i = i * step up to gamma_max.
 
@@ -516,27 +456,14 @@ def curve(
     n = int(math.floor(gamma_max / step + 1e-9))
     grid = np.arange(n + 1) * step
 
-    if quantity is Quantity.SEL:
-        c_min = min_coverage(rho, spec, alpha, IntervalRule.SD, panels=panels, order=order).c_min
-        evaluate = lambda g: sel_sd(
-            Scenario(g, rho), spec, alpha, c_min, panels=panels, order=order
-        )
-    elif quantity is Quantity.SEL_DELTA:
-        c_min = min_coverage(
-            rho, spec, alpha, IntervalRule.SD_DELTA, panels=panels, order=order
-        ).c_min
-        evaluate = lambda g: sel_sd_delta(
-            Scenario(g, rho), spec, alpha, c_min, panels=panels, order=order
-        )
+    rule = _RULE_BY_QUANTITY[quantity]
+    if quantity in _COVERAGE_QUANTITIES:
+        cov = _COVERAGE_BY_RULE[rule]
+        evaluate = lambda g: cov(Scenario(g, rho), spec, alpha)
     else:
-        cov = _COVERAGE_BY_RULE[
-            {
-                Quantity.CP: IntervalRule.SD,
-                Quantity.CP_DELTA: IntervalRule.SD_DELTA,
-                Quantity.CP_PMS: IntervalRule.PMS,
-            }[quantity]
-        ]
-        evaluate = lambda g: cov(Scenario(g, rho), spec, alpha, panels=panels, order=order)
+        c_min = min_coverage(rho, spec, alpha, rule).c_min
+        sel = _SEL_BY_RULE[rule]
+        evaluate = lambda g: sel(Scenario(g, rho), spec, alpha, c_min)
 
     values = np.empty(grid.size)
     for idx, g in enumerate(grid):

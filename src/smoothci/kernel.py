@@ -15,13 +15,21 @@ estimator on the standardized scale.  All kernel functions here are
 closed-form in the normal density and CDF except the ones defined by
 an integral, which go through the fixed quadrature engine.
 
+The four interval rules are defined here too, in one table, RULES:
+each rule is a center shift and a half-width factor, both functions of
+the standardized restriction statistic alone.  The point estimators
+below, the realized intervals, the coverage and length integrals and
+the Monte Carlo oracle all read their rule from that table.
+
 The error estimator sigma is treated as known throughout.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -190,23 +198,6 @@ def _kernel_moments(
     return mk, cov, var
 
 
-def m_k(
-    gamma: float | np.ndarray,
-    spec: PretestSpec,
-    *,
-    panels: int = gauss.DEFAULT_PANELS,
-    order: int = gauss.DEFAULT_ORDER,
-) -> float | np.ndarray:
-    """Mean of k(z) under z ~ N(gamma, 1), by quadrature."""
-    g = np.atleast_1d(np.asarray(gamma, dtype=float))
-    if g.ndim != 1:
-        raise ValueError("m_k: gamma must be scalar or 1-d")
-    if not np.all(np.isfinite(g)):
-        raise ValueError("m_k: gamma must be finite")
-    mk, _, _ = _kernel_moments(g, spec, panels, order)
-    return float(mk[0]) if np.isscalar(gamma) or np.asarray(gamma).ndim == 0 else mk
-
-
 def r(
     gamma: float | np.ndarray,
     rho: float,
@@ -259,7 +250,7 @@ def r_delta(
     g = np.asarray(gamma, dtype=float)
     if not np.all(np.isfinite(g)):
         raise ValueError("r_delta: gamma must be finite")
-    qv = Phi(spec.d - g) - Phi(-spec.d - g) - spec.d * (phi(spec.d + g) + phi(spec.d - g))
+    qv = q(g, spec)
     arg = 1.0 - 2.0 * rho * rho * qv + rho * rho * qv * qv
     bad = np.asarray(arg < _SQRT_ARG_FLOOR)
     if np.any(bad):
@@ -271,6 +262,95 @@ def r_delta(
     return float(out) if np.isscalar(gamma) or g.ndim == 0 else out
 
 
+class IntervalRule(str, enum.Enum):
+    """Which construction centers and scales the interval."""
+
+    SD = "sd"
+    SD_DELTA = "sd_delta"
+    PMS = "pms"
+    FULL_MODEL = "full_model"
+
+
+def _no_jumps(spec: PretestSpec) -> tuple[float, ...]:
+    return ()
+
+
+@dataclass(frozen=True)
+class RuleGeometry:
+    """One interval rule on the standardized scale.
+
+    With t the standardized unrestricted estimate and h the
+    standardized restriction statistic, the rule's interval for the
+    standardized parameter is
+
+        t - shift(h)  +-  z * factor(h),
+
+    so on the data's scale it is centered on
+    theta_hat - sigma * sqrt(v_theta) * shift(gamma_hat) with half width
+    z * sigma * sqrt(v_theta) * factor(gamma_hat).  ``shift`` takes
+    (h, rho, spec), ``factor`` the same plus the quadrature knobs of r;
+    both return arrays shaped like h.  ``jumps`` gives the h values
+    where either is discontinuous.  ``smoothed`` marks the rules whose
+    shift is the infinite-resample average of the PMS shift, the one a
+    finite resample average stands in for.
+    """
+
+    shift: Callable
+    factor: Callable
+    jumps: Callable[[PretestSpec], tuple[float, ...]] = _no_jumps
+    smoothed: bool = False
+
+
+def _no_shift(h, rho: float, spec: PretestSpec):
+    return np.zeros_like(h, dtype=float)
+
+
+def _unit_factor(h, rho: float, spec: PretestSpec, **quad):
+    return np.ones_like(h, dtype=float)
+
+
+def _pms_shift(h, rho: float, spec: PretestSpec):
+    return np.where(np.abs(h) <= spec.d, rho * h, 0.0)
+
+
+def _pms_factor(h, rho: float, spec: PretestSpec, **quad):
+    return np.where(np.abs(h) <= spec.d, math.sqrt(1.0 - rho * rho), 1.0)
+
+
+def _smoothed_shift(h, rho: float, spec: PretestSpec):
+    return rho * k(h, spec)
+
+
+def _sd_factor(h, rho: float, spec: PretestSpec, **quad):
+    return r(h, rho, spec, **quad)
+
+
+def _sd_delta_factor(h, rho: float, spec: PretestSpec, **quad):
+    return r_delta(h, rho, spec)
+
+
+#: The four interval rules.  PMS keeps the restricted fit and its
+#: narrow width while the pretest accepts (|h| <= d) and the
+#: unrestricted one otherwise; SD and SD_DELTA center on the smoothed
+#: estimate and scale by the exact or delta-method sd factor.
+RULES = {
+    IntervalRule.FULL_MODEL: RuleGeometry(shift=_no_shift, factor=_unit_factor),
+    IntervalRule.PMS: RuleGeometry(
+        shift=_pms_shift, factor=_pms_factor, jumps=lambda spec: (-spec.d, spec.d)
+    ),
+    IntervalRule.SD: RuleGeometry(shift=_smoothed_shift, factor=_sd_factor, smoothed=True),
+    IntervalRule.SD_DELTA: RuleGeometry(
+        shift=_smoothed_shift, factor=_sd_delta_factor, smoothed=True
+    ),
+}
+
+
+def _center(fit: FittedModel, spec: PretestSpec, which: IntervalRule) -> float:
+    """Center of rule ``which``'s interval on the data's scale."""
+    scale = fit.sigma * math.sqrt(fit.v_theta)
+    return fit.theta_hat - scale * float(RULES[which].shift(fit.gamma_hat, fit.rho, spec))
+
+
 def pms_estimate(fit: FittedModel, spec: PretestSpec) -> float:
     """Estimate after the preliminary test: the restricted-fit estimate
     of the parameter when the restriction is accepted (|gamma_hat| <= d),
@@ -279,10 +359,7 @@ def pms_estimate(fit: FittedModel, spec: PretestSpec) -> float:
     Discontinuous in gamma_hat at +-d with jump size
     |rho| * sigma * sqrt(v_theta) * d.
     """
-    scale = fit.sigma * math.sqrt(fit.v_theta)
-    if abs(fit.gamma_hat) <= spec.d:
-        return fit.theta_hat - fit.rho * scale * fit.gamma_hat
-    return fit.theta_hat
+    return _center(fit, spec, IntervalRule.PMS)
 
 
 def smoothed_estimate(fit: FittedModel, spec: PretestSpec) -> float:
@@ -293,5 +370,4 @@ def smoothed_estimate(fit: FittedModel, spec: PretestSpec) -> float:
 
     Continuous (in fact smooth) in gamma_hat, unlike pms_estimate.
     """
-    scale = fit.sigma * math.sqrt(fit.v_theta)
-    return fit.theta_hat - fit.rho * scale * float(k(fit.gamma_hat, spec))
+    return _center(fit, spec, IntervalRule.SD)

@@ -6,10 +6,12 @@ constructions the analytic layer describes, and reports empirical
 means, standard deviations, coverages and lengths with Monte Carlo
 standard errors.  Everything runs in standardized units: the true
 parameter of interest is 0 and sigma * sqrt(v_theta) is 1, which the
-coverage and length theory says costs no generality.  The simulation
-is the independent check on the quadrature results, so it deliberately
-shares only the kernel evaluations with the analytic path, never the
-integrals.
+coverage and length theory says costs no generality.  Each draw's
+interval comes from the rule's entry in ``kernel.RULES``, the same
+definition build_interval uses.  The simulation is the independent
+check on the quadrature results, so it deliberately shares only the
+rule definitions and kernel evaluations with the analytic path, never
+the integrals.
 
 Reproducibility contract: a SimPlan pins the full output.  Draws are
 generated in fixed-size chunks, each from its own Philox substream
@@ -29,6 +31,10 @@ from . import kernel
 from .gauss import z_quantile
 from .intervals import IntervalRule, Scenario
 from .kernel import PretestSpec
+
+#: The select-then-estimate shift; finite-B centers average it over
+#: resamples.
+_PMS_SHIFT = kernel.RULES[IntervalRule.PMS].shift
 
 #: Replications per random substream.  Part of the output contract:
 #: changing it reshuffles which draws land in which substream.
@@ -164,8 +170,7 @@ def smoothed_estimate_finite_B(
     z = rng.standard_normal((2, B))
     gamma_star = gamma_hat + z[0]
     theta_star = theta_hat_std + rho * z[0] + math.sqrt(1.0 - rho * rho) * z[1]
-    accept = np.abs(gamma_star) <= spec.d
-    return float(np.mean(theta_star - rho * gamma_star * accept))
+    return float(np.mean(theta_star - _PMS_SHIFT(gamma_star, rho, spec)))
 
 
 def _centers_finite_B(
@@ -186,27 +191,25 @@ def _centers_finite_B(
         z = rng.standard_normal((2, stop - start, B))
         gamma_star = gamma_hat[start:stop, None] + z[0]
         theta_star = theta_std[start:stop, None] + rho * z[0] + sq * z[1]
-        accept = np.abs(gamma_star) <= spec.d
-        out[start:stop] = np.mean(theta_star - rho * gamma_star * accept, axis=1)
+        out[start:stop] = np.mean(theta_star - _PMS_SHIFT(gamma_star, rho, spec), axis=1)
     return out
 
 
 def run(plan: SimPlan, rule: IntervalRule) -> SimSummary:
     """Simulate the chosen interval rule and summarize it empirically.
 
-    Per replication: draw the standardized pair, form the point
-    estimate (ideal smoothed, finite-B smoothed when bootstrap_B > 0,
-    post-selection, or unrestricted), form the interval exactly as
-    build_interval does in standardized units, and record length and
-    whether the interval contains 0, the standardized truth.
-    Containment is closed-interval.  The chunked vector path is tested
-    to agree with the one-replication-at-a-time construction.
+    Per replication: draw the standardized pair, form the interval
+    from the rule's shift and factor exactly as build_interval does in
+    standardized units, and record length and whether the interval
+    contains 0, the standardized truth.  For the smoothed rules with
+    bootstrap_B > 0 the finite-B resample average replaces the ideal
+    smoothed center.  Containment is closed-interval.  The chunked
+    vector path is tested to agree with the one-replication-at-a-time
+    construction.
     """
-    rule = IntervalRule(rule)
+    geometry = kernel.RULES[IntervalRule(rule)]
     rho = plan.scenario.rho
     z_a = z_quantile(1.0 - 0.5 * plan.alpha)
-    narrow = z_a * math.sqrt(1.0 - rho * rho)
-    d = plan.spec.d
 
     n = plan.replications
     n_chunks = -(-n // CHUNK)
@@ -220,24 +223,13 @@ def run(plan: SimPlan, rule: IntervalRule) -> SimSummary:
         rng = np.random.Generator(np.random.Philox(streams[idx]))
         theta_std, gamma_hat = simulate_pair(plan.scenario, rng, size=m)
 
-        if rule is IntervalRule.FULL_MODEL:
-            center = theta_std
-            half = np.full(m, z_a)
-        elif rule is IntervalRule.PMS:
-            accept = np.abs(gamma_hat) <= d
-            center = theta_std - rho * gamma_hat * accept
-            half = np.where(accept, narrow, z_a)
+        if geometry.smoothed and plan.bootstrap_B > 0:
+            center = _centers_finite_B(
+                theta_std, gamma_hat, rho, plan.spec, plan.bootstrap_B, rng
+            )
         else:
-            if plan.bootstrap_B > 0:
-                center = _centers_finite_B(
-                    theta_std, gamma_hat, rho, plan.spec, plan.bootstrap_B, rng
-                )
-            else:
-                center = theta_std - rho * np.asarray(kernel.k(gamma_hat, plan.spec))
-            if rule is IntervalRule.SD:
-                half = z_a * np.asarray(kernel.r(gamma_hat, rho, plan.spec))
-            else:
-                half = z_a * np.asarray(kernel.r_delta(gamma_hat, rho, plan.spec))
+            center = theta_std - geometry.shift(gamma_hat, rho, plan.spec)
+        half = z_a * geometry.factor(gamma_hat, rho, plan.spec)
 
         s1 += float(center.sum())
         c2 = center * center

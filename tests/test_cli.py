@@ -126,6 +126,14 @@ class TestCmin:
         assert csv_lines[0] == "rule,c_min,argmin_gamma,search_grid_step,refinement_tolerance"
         assert csv_lines[1].startswith("sd_delta,0.923255302285")
 
+    def test_underflowing_minimum_is_reported_as_zero(self):
+        # at rho = 0.999 and d = 6 the PMS coverage falls below the
+        # smallest double near its minimum (scipy quad: 1.5e-320 at
+        # gamma = 1.8), so it is evaluated as exactly 0.0
+        res = cli("cmin", "--rho", "0.999", "--cutoff-d", "6", "--rules", "pms")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.startswith("rule=pms c_min=0 ")
+
     def test_full_model_rejected(self):
         res = cli("cmin", "--rho", "0.7", "--rules", "full_model")
         assert res.returncode == 1

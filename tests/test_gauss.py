@@ -14,12 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from helpers import integrate_against_shifted_normal
 from smoothci import gauss
 from smoothci.gauss import (
     Phi,
     Phi_interval,
     QuadratureRule,
-    integrate_against_shifted_normal,
     phi,
     quadrature_rule,
     z_quantile,

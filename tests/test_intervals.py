@@ -214,6 +214,13 @@ class TestMinCoverage:
         with pytest.raises(RuntimeError, match="rejoined"):
             min_coverage(0.7, SPEC10, ALPHA, IntervalRule.SD_DELTA, gamma_max=2.0)
 
+    def test_default_search_reaches_past_a_large_cutoff(self):
+        # with d = 9 the curve is still away from 1 - alpha at gamma = 12;
+        # the reference value is a scipy quad evaluation at the argmin
+        rep = min_coverage(0.7, PretestSpec.from_cutoff(9.0), ALPHA, IntervalRule.SD_DELTA)
+        assert rep.c_min == pytest.approx(0.0052528991147374055, abs=1e-9)
+        assert rep.argmin_gamma == pytest.approx(4.904, abs=1e-3)
+
     def test_full_model_has_no_curve(self):
         with pytest.raises(ValueError):
             min_coverage(0.7, SPEC10, ALPHA, IntervalRule.FULL_MODEL)
@@ -228,6 +235,12 @@ class TestMinCoverage:
         with pytest.raises(ValueError):
             MinCoverageReport(c_min=1.0, argmin_gamma=0.0,
                               search_grid_step=0.05, refinement_tolerance=1e-7)
+        with pytest.raises(ValueError):
+            MinCoverageReport(c_min=-1e-300, argmin_gamma=0.0,
+                              search_grid_step=0.05, refinement_tolerance=1e-7)
+        # a minimum coverage that underflows to zero is a result
+        MinCoverageReport(c_min=0.0, argmin_gamma=3.0,
+                          search_grid_step=0.05, refinement_tolerance=1e-7)
         with pytest.raises(ValueError):
             MinCoverageReport(c_min=0.9, argmin_gamma=-1.0,
                               search_grid_step=0.05, refinement_tolerance=1e-7)

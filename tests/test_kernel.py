@@ -12,13 +12,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 import smoothci.kernel as kernel_mod
-from smoothci.gauss import Phi, integrate_against_shifted_normal, phi, z_quantile
+from helpers import integrate_against_shifted_normal, m_k
+from smoothci.gauss import Phi, phi, z_quantile
 from smoothci.kernel import (
     ConsistencyError,
     FittedModel,
     PretestSpec,
     k,
-    m_k,
     pms_estimate,
     q,
     r,

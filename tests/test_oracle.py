@@ -179,7 +179,7 @@ class TestRun:
         cp = coverage_pms(sc, SPEC10, ALPHA)
         assert abs(out.empirical_coverage - cp) < 4 * out.standard_errors.empirical_coverage
 
-    @pytest.mark.parametrize("rule", [IntervalRule.SD, IntervalRule.PMS])
+    @pytest.mark.parametrize("rule", list(IntervalRule))
     def test_chunked_path_equals_one_at_a_time(self, rule):
         # n spans multiple chunks on purpose
         plan = SimPlan(replications=10_000, seed=41, scenario=Scenario(1.0, 0.6),
