@@ -34,6 +34,10 @@ HALF_WIDTH = 8.0
 DEFAULT_PANELS = 40
 #: Gauss-Legendre nodes per panel.
 DEFAULT_ORDER = 10
+#: Most rules kept by the rule cache.  A rule with breakpoints is keyed
+#: by where they fall, so PMS coverage asks for a new one at every
+#: gamma; the bound keeps a long curve from holding them all.
+_RULE_CACHE_SIZE = 256
 
 
 def phi(x: float | np.ndarray) -> float | np.ndarray:
@@ -210,7 +214,7 @@ def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return leggauss(order)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_RULE_CACHE_SIZE)
 def _rule_cached(
     half_width: float, panels: int, order: int, breakpoints: tuple[float, ...]
 ) -> QuadratureRule:

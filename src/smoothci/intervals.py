@@ -23,9 +23,11 @@ one-dimensional integrals against a shifted normal density, evaluated
 on the fixed quadrature engine.  They depend on the unknown true
 parameters only through the standardized restriction offset gamma and
 the design correlation rho, bundled as a Scenario.  The coverage
-functions take the engine's ``panels=`` and ``order=`` knobs, so a
-refined rule can serve as a reference; the length functions, the
-minimizer and the curve tables always use the default rule.
+functions take the engine's ``panels=`` and ``order=`` knobs for that
+one integral, so a refined rule can serve as a reference; the rules'
+half-width factors are closed forms and take no knobs.  The length
+functions, the minimizer and the curve tables always use the default
+rule.
 """
 
 from __future__ import annotations
@@ -240,7 +242,7 @@ def _coverage(
     mass = rule.weights * phi(zeta)
     h = gamma + zeta
     shift = geometry.shift(h, rho, spec)
-    half = z_a * geometry.factor(h, rho, spec, panels=panels, order=order)
+    half = z_a * geometry.factor(h, rho, spec)
     terms = Phi_interval(shift - half, shift + half, rho * zeta, 1.0 - rho * rho)
     if not np.all(np.isfinite(terms)):
         raise RuntimeError("coverage integrand produced a non-finite value")

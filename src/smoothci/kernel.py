@@ -12,8 +12,9 @@ Averaging the discontinuous select-then-estimate rule over resampled
 data replaces the hard indicator with the smooth kernel k below; q is
 its derivative and r gives the standard deviation of the smoothed
 estimator on the standardized scale.  All kernel functions here are
-closed-form in the normal density and CDF except the ones defined by
-an integral, which go through the fixed quadrature engine.
+closed form: k, q and r_delta in the normal density and CDF, r in
+those and Owen's T function, which gives the probability of the
+square a pair of correlated normal draws must land in.
 
 The four interval rules are defined here too, in one table, RULES:
 each rule is a center shift and a half-width factor, both functions of
@@ -32,8 +33,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.special import erfc, owens_t
 
-from . import gauss
 from .gauss import Phi, phi, z_quantile
 
 #: Largest correlation magnitude accepted by the smoothing analysis.
@@ -177,35 +178,85 @@ def q(gamma: float | np.ndarray, spec: PretestSpec) -> float | np.ndarray:
     return float(out) if np.isscalar(gamma) or g.ndim == 0 else out
 
 
-def _kernel_moments(
-    g: np.ndarray, spec: PretestSpec, panels: int, order: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+_SQRT2 = math.sqrt(2.0)
+_SQRT3 = math.sqrt(3.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def _moments(g: np.ndarray, spec: PretestSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mean, covariance-with-identity, and variance of k(z), z ~ N(g, 1).
 
     Returns, for each entry of g,
-        mk  = E k(z),
-        cov = E k(z) (z - g),
-        var = E (k(z) - mk)^2,
-    all through the shared rule in the standardized variable.
+        mean = E k(z),
+        cov  = E k(z) (z - g),
+        var  = E (k(z) - mean)^2,
+    in closed form.  k(z) is the mean of Y 1{|Y| <= d} with Y ~ N(z, 1),
+    so with two independent draws Y1, Y2 around the same z:
+
+    * mean = E[W 1{|W| <= d}] with W ~ N(g, 2);
+    * cov = E q(z) by Stein's lemma, the derivative of mean in g;
+    * E k(z)^2 = E[Y1 Y2 1{|Y1|, |Y2| <= d}], where (Y1, Y2) is
+      bivariate normal with mean g, variance 2 and correlation 1/2.
+
+    On the standardized scale X = (Y - g) / sqrt(2) the square is
+    [a, b]^2 with a = (-d - g) / sqrt(2), b = (d - g) / sqrt(2).  Its
+    probability comes from Owen's T (Owen 1956), using the diagonal
+    form Phi2(h, h) = Phi(h) - 2 T(h, 1/sqrt(3)), which the general
+    formula gets wrong at h = 0.  The first and cross moments over the
+    square come from the multivariate Stein identity
+    E[X_i f(X)] = sum_j Sigma_ij E[d_j f(X)], whose boundary terms
+    need the conditional law X2 | X1 = x ~ N(x/2, 3/4).  All normal
+    CDF and density values are taken in one call each over stacked
+    arguments: for a scalar gamma the cost is the number of numpy
+    calls, not the arithmetic.
     """
-    rule = gauss.quadrature_rule(panels=panels, order=order)
-    z = rule.nodes
-    w = rule.weights * phi(z)
-    kmat = k(g[None, :] + z[:, None], spec)
-    mk = w @ kmat
-    cov = (w * z) @ kmat
-    var = w @ (kmat - mk[None, :]) ** 2
-    return mk, cov, var
+    d = spec.d
+    a = (-d - g) / _SQRT2
+    b = (d - g) / _SQRT2
+    # Standardized ends of [a, b] under X2 | X1 = x, at x = a and x = b.
+    a_lo, b_hi = a / _SQRT3, b / _SQRT3
+    a_hi = (2.0 * b - a) / _SQRT3
+    b_lo = (2.0 * a - b) / _SQRT3
+    # Phi and phi as in gauss, without their input checks: every
+    # argument is finite here.
+    args = np.array([a, b, a_lo, b_hi, a_hi, b_lo])
+    cdf_a, cdf_b, cdf_a_lo, cdf_b_hi, cdf_a_hi, cdf_b_lo = 0.5 * erfc(-args / _SQRT2)
+    pdf_a, pdf_b, pdf_a_lo, pdf_b_hi, pdf_a_hi, pdf_b_lo = _INV_SQRT_2PI * np.exp(
+        -0.5 * args * args
+    )
+    with np.errstate(divide="ignore"):
+        # a_hi / a is +inf at a = 0 and b_lo / b is -inf at b = 0;
+        # T(0, +-inf) = +-1/4 is the right limit there.
+        slopes = np.array([a_hi / a, b_lo / b])
+    ends = np.array([a, b])
+    t_a, t_b = owens_t(ends, 1.0 / _SQRT3)
+    t_ab, t_ba = owens_t(ends, slopes)
+
+    p1 = cdf_b - cdf_a
+    mean = g * p1 + _SQRT2 * (pdf_a - pdf_b)
+    cov = p1 - (d / _SQRT2) * (pdf_a + pdf_b)
+
+    # P(X in [a, b]^2) from the bivariate CDF at the three corner types.
+    # Owen's formula subtracts 1/2 when a < 0 <= b (a < b always).
+    straddle = 0.5 * ((a < 0.0) & (b >= 0.0))
+    corner_ab = 0.5 * (cdf_a + cdf_b) - t_ab - t_ba - straddle
+    p2 = (cdf_b - 2.0 * t_b) - 2.0 * corner_ab + (cdf_a - 2.0 * t_a)
+    # P(X2 in [a, b] | X1 = x) and E[X2 1{X2 in [a, b]} | X1 = x] at x = a, b.
+    cond_a = cdf_a_hi - cdf_a_lo
+    cond_b = cdf_b_hi - cdf_b_lo
+    cmean_a = 0.5 * a * cond_a + 0.5 * _SQRT3 * (pdf_a_lo - pdf_a_hi)
+    cmean_b = 0.5 * b * cond_b + 0.5 * _SQRT3 * (pdf_b_lo - pdf_b_hi)
+    # E[X1 1_square] / (3/2) and E[X1 X2 1_square].
+    edge = pdf_a * cond_a - pdf_b * cond_b
+    cross = pdf_a * cmean_a - pdf_b * cmean_b + 0.5 * (
+        p2 + a * pdf_a * cond_a - b * pdf_b * cond_b
+    )
+    # g (g p2 + ...) rather than g^2 p2: g^2 overflows for huge g.
+    second = g * (g * p2 + 3.0 * _SQRT2 * edge) + 2.0 * cross
+    return mean, cov, second - mean * mean
 
 
-def r(
-    gamma: float | np.ndarray,
-    rho: float,
-    spec: PretestSpec,
-    *,
-    panels: int = gauss.DEFAULT_PANELS,
-    order: int = gauss.DEFAULT_ORDER,
-) -> float | np.ndarray:
+def r(gamma: float | np.ndarray, rho: float, spec: PretestSpec) -> float | np.ndarray:
     """Standard deviation factor of the smoothed estimator.
 
     r(gamma; rho)^2 = 1 - 2 rho^2 E[k(z)(z - gamma)]
@@ -214,7 +265,8 @@ def r(
     The argument of the square root is non-negative by construction.
     Values in [-1e-12, 0) are treated as rounding and clamped to zero;
     anything more negative raises ConsistencyError.  At rho = 0 the
-    result is exactly 1.0.
+    result is exactly 1.0.  Scalar and array arguments take the same
+    path, so r(g)[i] == r(g[i]) bit for bit.
     """
     rho = _check_rho(rho)
     g = np.atleast_1d(np.asarray(gamma, dtype=float))
@@ -222,7 +274,7 @@ def r(
         raise ValueError("r: gamma must be scalar or 1-d")
     if not np.all(np.isfinite(g)):
         raise ValueError("r: gamma must be finite")
-    _, cov, var = _kernel_moments(g, spec, panels, order)
+    _, cov, var = _moments(g, spec)
     arg = 1.0 - 2.0 * rho * rho * cov + rho * rho * var
     bad = arg < _SQRT_ARG_FLOOR
     if np.any(bad):
@@ -288,8 +340,8 @@ class RuleGeometry:
     so on the data's scale it is centered on
     theta_hat - sigma * sqrt(v_theta) * shift(gamma_hat) with half width
     z * sigma * sqrt(v_theta) * factor(gamma_hat).  ``shift`` takes
-    (h, rho, spec), ``factor`` the same plus the quadrature knobs of r;
-    both return arrays shaped like h.  ``jumps`` gives the h values
+    (h, rho, spec), and so does ``factor``; both return arrays shaped
+    like h.  ``jumps`` gives the h values
     where either is discontinuous.  ``smoothed`` marks the rules whose
     shift is the infinite-resample average of the PMS shift, the one a
     finite resample average stands in for.
@@ -305,7 +357,7 @@ def _no_shift(h, rho: float, spec: PretestSpec):
     return np.zeros_like(h, dtype=float)
 
 
-def _unit_factor(h, rho: float, spec: PretestSpec, **quad):
+def _unit_factor(h, rho: float, spec: PretestSpec):
     return np.ones_like(h, dtype=float)
 
 
@@ -313,7 +365,7 @@ def _pms_shift(h, rho: float, spec: PretestSpec):
     return np.where(np.abs(h) <= spec.d, rho * h, 0.0)
 
 
-def _pms_factor(h, rho: float, spec: PretestSpec, **quad):
+def _pms_factor(h, rho: float, spec: PretestSpec):
     return np.where(np.abs(h) <= spec.d, math.sqrt(1.0 - rho * rho), 1.0)
 
 
@@ -321,11 +373,11 @@ def _smoothed_shift(h, rho: float, spec: PretestSpec):
     return rho * k(h, spec)
 
 
-def _sd_factor(h, rho: float, spec: PretestSpec, **quad):
-    return r(h, rho, spec, **quad)
+def _sd_factor(h, rho: float, spec: PretestSpec):
+    return r(h, rho, spec)
 
 
-def _sd_delta_factor(h, rho: float, spec: PretestSpec, **quad):
+def _sd_delta_factor(h, rho: float, spec: PretestSpec):
     return r_delta(h, rho, spec)
 
 

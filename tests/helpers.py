@@ -1,8 +1,9 @@
 """Quadrature helpers that only the tests use.
 
 ``integrate_against_shifted_normal`` composes an arbitrary integrand
-with the package's quadrature engine, and ``m_k`` is the mean of the
-smoothing kernel under a shifted normal.  The tests use both as
+with the package's quadrature engine, ``kernel_moments`` gives the
+moments of the smoothing kernel under a shifted normal that r is built
+from, and ``m_k`` is the first of them.  The tests use all three as
 independent routes to quantities the package computes in closed form.
 """
 
@@ -11,9 +12,9 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from smoothci import gauss, kernel
+from smoothci import gauss
 from smoothci.gauss import phi, quadrature_rule
-from smoothci.kernel import PretestSpec
+from smoothci.kernel import PretestSpec, k
 
 
 def integrate_against_shifted_normal(
@@ -65,6 +66,28 @@ def integrate_against_shifted_normal(
     return float(np.dot(rule.weights, phi(z) * vals))
 
 
+def kernel_moments(
+    g: np.ndarray, spec: PretestSpec, panels: int, order: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean, covariance-with-identity, and variance of k(z), z ~ N(g, 1).
+
+    Returns, for each entry of g,
+        mk  = E k(z),
+        cov = E k(z) (z - g),
+        var = E (k(z) - mk)^2,
+    all by quadrature over a panels x order matrix of k values in the
+    standardized variable.
+    """
+    rule = quadrature_rule(panels=panels, order=order)
+    z = rule.nodes
+    w = rule.weights * phi(z)
+    kmat = k(g[None, :] + z[:, None], spec)
+    mk = w @ kmat
+    cov = (w * z) @ kmat
+    var = w @ (kmat - mk[None, :]) ** 2
+    return mk, cov, var
+
+
 def m_k(
     gamma: float | np.ndarray,
     spec: PretestSpec,
@@ -78,5 +101,5 @@ def m_k(
         raise ValueError("m_k: gamma must be scalar or 1-d")
     if not np.all(np.isfinite(g)):
         raise ValueError("m_k: gamma must be finite")
-    mk, _, _ = kernel._kernel_moments(g, spec, panels, order)
+    mk, _, _ = kernel_moments(g, spec, panels, order)
     return float(mk[0]) if np.isscalar(gamma) or np.asarray(gamma).ndim == 0 else mk

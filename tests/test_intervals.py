@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import smoothci.intervals as intervals_mod
+from smoothci import gauss
 from smoothci.gauss import z_quantile
 from smoothci.intervals import (
     CurveTable,
@@ -313,6 +314,17 @@ class TestCurve:
         assert tab.scenario_rho == 0.4
         assert tab.alpha == ALPHA
         assert tab.pretest is SPEC10
+
+    def test_fine_pms_curve_keeps_the_rule_cache_bounded(self):
+        # Each PMS gamma asks for a rule with its own breakpoints.
+        gauss._rule_cached.cache_clear()
+        tab = curve(Quantity.CP_PMS, 0.7, SPEC10, ALPHA, gamma_max=3.0, step=0.001)
+        info = gauss._rule_cached.cache_info()
+        assert info.misses > gauss._RULE_CACHE_SIZE
+        assert info.currsize <= gauss._RULE_CACHE_SIZE
+        gauss._rule_cached.cache_clear()
+        for g, v in zip(tab.gammas[::97], tab.values[::97]):
+            assert v == coverage_pms(Scenario(float(g), 0.7), SPEC10, ALPHA)
 
     def test_rho_validated_before_any_evaluation(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import smoothci.kernel as kernel_mod
-from helpers import integrate_against_shifted_normal, m_k
+from helpers import integrate_against_shifted_normal, kernel_moments, m_k
 from smoothci.gauss import Phi, phi, z_quantile
 from smoothci.kernel import (
     ConsistencyError,
@@ -209,13 +209,46 @@ class TestR:
             r(0.0, 0.9991, SPEC10)
 
     def test_negative_variance_is_consistency_error(self, monkeypatch):
-        monkeypatch.setattr(kernel_mod, "_kernel_moments",
+        monkeypatch.setattr(kernel_mod, "_moments",
                             lambda *a, **kw: (0.0, 1.0, 0.0))
         with pytest.raises(ConsistencyError):
             r(0.0, 0.9, SPEC10)
 
     def test_consistency_error_is_arithmetic(self):
         assert issubclass(ConsistencyError, ArithmeticError)
+
+    def test_vector_and_scalar_agree_bit_for_bit(self):
+        # build_interval and fit take the scalar path, the coverage
+        # integrals and the oracle the vector one.
+        for spec in (SPEC10, PretestSpec.from_cutoff(0.3)):
+            d = spec.d
+            g = np.concatenate([np.linspace(-12.0, 12.0, 97),
+                                [d, -d, d + 1e-9, -d - 1e-9, np.nextafter(d, 0.0)]])
+            for rho in (0.7, -0.999):
+                vec = r(g, rho, spec)
+                assert [float(v) for v in vec] == [r(float(x), rho, spec) for x in g]
+
+
+class TestClosedFormMoments:
+    """The closed-form moments inside r against their defining quadrature.
+
+    The quadrature oracle uses a refined 160 x 20 rule.  The grid covers
+    the cutoffs where Owen's formula for the bivariate normal rectangle
+    switches branch: gamma = +-d exactly and 1e-9 to either side.
+    """
+
+    @pytest.mark.parametrize("d", (0.05, 0.3, 1.645, 1.96, 3.0, 6.0, 10.0))
+    def test_moments_and_r_match_quadrature(self, d):
+        spec = PretestSpec.from_cutoff(d)
+        edges = [s * d + e for s in (-1.0, 1.0) for e in (-1e-9, 0.0, 1e-9)]
+        g = np.concatenate([np.linspace(-20.0, 20.0, 161), edges])
+        reference = kernel_moments(g, spec, panels=160, order=20)
+        for got, want in zip(kernel_mod._moments(g, spec), reference):
+            assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        _, cov, var = reference
+        for rho in (0.4, 0.7, 0.999):
+            expected = np.sqrt(1.0 - 2.0 * rho * rho * cov + rho * rho * var)
+            assert_allclose(r(g, rho, spec), expected, rtol=0.0, atol=1e-12)
 
 
 class TestRDelta:
