@@ -363,60 +363,66 @@ def cmd_verify(config: RunConfig) -> int:
     their analytic counterparts, each as a z-score in Monte Carlo
     standard errors.  Fails (exit 3) if any |z| exceeds the tolerance.
     """
-    cells = [(g, rho) for rho in VERIFY_RHOS for g in VERIFY_GAMMAS]
     rules = (IntervalRule.SD, IntervalRule.SD_DELTA)
-    seeds = np.random.SeedSequence(config.seed).generate_state(
-        len(cells) * len(rules), dtype=np.uint64
-    )
-    cmin_cache: dict[tuple[float, IntervalRule], float] = {}
+    # One seed per (rho, gamma, rule), taken in the order the loops run.
+    seeds = iter(np.random.SeedSequence(config.seed).generate_state(
+        len(VERIFY_RHOS) * len(VERIFY_GAMMAS) * len(rules), dtype=np.uint64
+    ))
     worst = 0.0
     failures = 0
     comparisons = 0
-    for cell_idx, (gamma, rho) in enumerate(cells):
-        scenario = Scenario(gamma, rho)
-        for rule_idx, rule in enumerate(rules):
-            key = (rho, rule)
-            if key not in cmin_cache:
-                cmin_cache[key] = min_coverage(rho, config.spec, config.alpha, rule).c_min
-            c_min = cmin_cache[key]
-            # Both rules center on the same smoothed estimate, whose
-            # exact standard deviation is r; r_delta only shapes the
-            # interval width, so the sd comparison is always against r.
-            sd_true = float(r(gamma, rho, config.spec))
-            cp = _COVERAGE_BY_RULE[rule](scenario, config.spec, config.alpha)
-            sel_true = _SEL_BY_RULE[rule](scenario, config.spec, config.alpha, c_min)
-            plan = oracle.SimPlan(
-                replications=config.replications,
-                seed=int(seeds[cell_idx * len(rules) + rule_idx]),
-                scenario=scenario,
-                spec=config.spec,
-                alpha=config.alpha,
+    for rho in VERIFY_RHOS:
+        # The analytic side is one array call over the gamma grid per
+        # rule.  Both rules center on the same smoothed estimate, whose
+        # exact standard deviation is r; r_delta only shapes the
+        # interval width, so the sd comparison is always against r.
+        grid = Scenario(np.array(VERIFY_GAMMAS), rho)
+        sd_true = r(grid.gamma, rho, config.spec)
+        analytic_by_rule = {}
+        for rule in rules:
+            c_min = min_coverage(rho, config.spec, config.alpha, rule).c_min
+            analytic_by_rule[rule] = (
+                c_min,
+                _COVERAGE_BY_RULE[rule](grid, config.spec, config.alpha),
+                _SEL_BY_RULE[rule](grid, config.spec, config.alpha, c_min),
             )
-            summary = oracle.run(plan, rule)
-            denom = 2.0 * z_quantile(0.5 * (1.0 + c_min))
-            ratio = summary.mean_length / denom
-            ratio_se = summary.standard_errors.mean_length / denom
-            checks = (
-                ("coverage", cp, summary.empirical_coverage,
-                 summary.standard_errors.empirical_coverage),
-                ("sd", sd_true, summary.sd_estimate, summary.standard_errors.sd_estimate),
-                ("length_ratio", sel_true, ratio, ratio_se),
-            )
-            for stat, analytic, mc, se in checks:
-                z = _verify_z(mc - analytic, se)
-                comparisons += 1
-                worst = max(worst, abs(z))
-                flag = ""
-                if abs(z) > config.tolerance:
-                    failures += 1
-                    flag = " FAIL"
-                elif se > WIDE_SE:
-                    flag = " (wide se)"
-                print(
-                    f"gamma={_fmt(gamma)} rho={_fmt(rho)} rule={rule.value} "
-                    f"stat={stat} analytic={_fmt(analytic)} mc={_fmt(mc)} "
-                    f"se={_fmt(se)} z={_fmt(z)}{flag}"
+        for g_idx, gamma in enumerate(VERIFY_GAMMAS):
+            scenario = Scenario(gamma, rho)
+            for rule in rules:
+                c_min, cp, sel_true = analytic_by_rule[rule]
+                plan = oracle.SimPlan(
+                    replications=config.replications,
+                    seed=int(next(seeds)),
+                    scenario=scenario,
+                    spec=config.spec,
+                    alpha=config.alpha,
                 )
+                summary = oracle.run(plan, rule)
+                denom = 2.0 * z_quantile(0.5 * (1.0 + c_min))
+                ratio = summary.mean_length / denom
+                ratio_se = summary.standard_errors.mean_length / denom
+                checks = (
+                    ("coverage", cp[g_idx], summary.empirical_coverage,
+                     summary.standard_errors.empirical_coverage),
+                    ("sd", sd_true[g_idx], summary.sd_estimate,
+                     summary.standard_errors.sd_estimate),
+                    ("length_ratio", sel_true[g_idx], ratio, ratio_se),
+                )
+                for stat, analytic, mc, se in checks:
+                    z = _verify_z(mc - analytic, se)
+                    comparisons += 1
+                    worst = max(worst, abs(z))
+                    flag = ""
+                    if abs(z) > config.tolerance:
+                        failures += 1
+                        flag = " FAIL"
+                    elif se > WIDE_SE:
+                        flag = " (wide se)"
+                    print(
+                        f"gamma={_fmt(gamma)} rho={_fmt(rho)} rule={rule.value} "
+                        f"stat={stat} analytic={_fmt(analytic)} mc={_fmt(mc)} "
+                        f"se={_fmt(se)} z={_fmt(z)}{flag}"
+                    )
     verdict = "PASS" if failures == 0 else "FAIL"
     print(
         f"verify {verdict}: {comparisons - failures}/{comparisons} comparisons within "

@@ -10,7 +10,10 @@ default half width of 8 the neglected tail mass is 2*Phi(-8), about
 All rules live in the standardized variable z = h - gamma, so a single
 cached rule serves every shift.  Integrands with known discontinuities
 pass their breakpoints in; panels are split there so no panel straddles
-a jump and the composite rule keeps its full accuracy.
+a jump and the composite rule keeps its full accuracy.  quadrature_rule
+gives one rule; quadrature_rules gives one per row of a breakpoint
+array, padded to a common width, built in one vectorized pass by the
+same code.
 """
 
 from __future__ import annotations
@@ -35,8 +38,10 @@ DEFAULT_PANELS = 40
 #: Gauss-Legendre nodes per panel.
 DEFAULT_ORDER = 10
 #: Most rules kept by the rule cache.  A rule with breakpoints is keyed
-#: by where they fall, so PMS coverage asks for a new one at every
-#: gamma; the bound keeps a long curve from holding them all.
+#: by where they fall, so a caller sweeping them over a grid asks for a
+#: new one at every point; the bound keeps such a sweep from holding
+#: them all.  The coverage integrals, whose breakpoints move with gamma,
+#: build their rules in blocks with quadrature_rules, outside the cache.
 _RULE_CACHE_SIZE = 256
 
 
@@ -214,33 +219,67 @@ def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return leggauss(order)
 
 
+def _panel_edges(
+    breakpoints: np.ndarray, panels: int, half_width: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Panel edges of one composite rule per row of breakpoints.
+
+    Each row gets the uniform edges plus its own breakpoints, sorted.
+    Breakpoints outside the open support are dropped.  A breakpoint
+    within rounding distance of an edge already kept would create a
+    degenerate sliver panel whose nodes collide in floating point, so
+    it is merged away; the outer boundary always survives.  Rows can
+    end up with different edge counts: each is padded on the right
+    with copies of the upper boundary, and the counts are returned.
+    """
+    rows = breakpoints.shape[0]
+    uniform = np.broadcast_to(np.linspace(-half_width, half_width, panels + 1), (rows, panels + 1))
+    # Parked on the lower boundary, an outside breakpoint becomes an
+    # exact duplicate there, which the merge drops.
+    inside = (breakpoints > -half_width) & (breakpoints < half_width)
+    edges = np.sort(
+        np.concatenate([uniform, np.where(inside, breakpoints, -half_width)], axis=1), axis=1
+    )
+    tol = 1e-12 * half_width
+    keep = np.ones(edges.shape, dtype=bool)
+    keep[:, 1:] = np.diff(edges, axis=1) > tol
+    # An edge far from its left neighbour is always kept.  One close to
+    # it is kept only if it is far from the last edge kept so far, which
+    # for a run of close edges is not the neighbour: settle those
+    # columns left to right.
+    for j in np.flatnonzero(~keep.all(axis=0)):
+        last_kept = np.max(np.where(keep[:, :j], edges[:, :j], -np.inf), axis=1)
+        keep[:, j] = edges[:, j] - last_kept > tol
+    lost = ~keep[:, -1]
+    if np.any(lost):
+        # The upper boundary replaces the last edge kept before it.
+        last = edges.shape[1] - 1 - np.argmax(keep[:, ::-1], axis=1)
+        keep[lost, last[lost]] = False
+        keep[:, -1] = True
+    counts = keep.sum(axis=1)
+    edges = np.take_along_axis(edges, np.argsort(~keep, axis=1, kind="stable"), axis=1)
+    width = int(counts.max())
+    edges = edges[:, :width]
+    edges[np.arange(width) >= counts[:, None]] = half_width
+    return edges, counts
+
+
+def _nodes_and_weights(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on every panel of every row of edges."""
+    base_x, base_w = _legendre(order)
+    mid = 0.5 * (edges[:, :-1, None] + edges[:, 1:, None])
+    half = 0.5 * (edges[:, 1:, None] - edges[:, :-1, None])
+    rows = edges.shape[0]
+    return (mid + half * base_x).reshape(rows, -1), (half * base_w).reshape(rows, -1)
+
+
 @lru_cache(maxsize=_RULE_CACHE_SIZE)
 def _rule_cached(
     half_width: float, panels: int, order: int, breakpoints: tuple[float, ...]
 ) -> QuadratureRule:
-    base_x, base_w = _legendre(order)
-    edges = np.linspace(-half_width, half_width, panels + 1)
-    if breakpoints:
-        edges = np.unique(np.concatenate([edges, np.asarray(breakpoints, dtype=float)]))
-        # A breakpoint within rounding distance of an existing edge
-        # would create a degenerate sliver panel whose nodes collide
-        # in floating point.  Merge such near-duplicates; the outer
-        # boundary always survives.
-        tol = 1e-12 * half_width
-        kept = [float(edges[0])]
-        for e in edges[1:]:
-            if e - kept[-1] > tol:
-                kept.append(float(e))
-        if kept[-1] < edges[-1]:
-            kept[-1] = float(edges[-1])
-        edges = np.asarray(kept)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    return QuadratureRule(
-        nodes=(mid[:, None] + half[:, None] * base_x).ravel(),
-        weights=(half[:, None] * base_w).ravel(),
-        support=(-half_width, half_width),
-    )
+    edges, _ = _panel_edges(np.array([breakpoints], dtype=float), panels, half_width)
+    nodes, weights = _nodes_and_weights(edges, order)
+    return QuadratureRule(nodes=nodes[0], weights=weights[0], support=(-half_width, half_width))
 
 
 def quadrature_rule(
@@ -264,3 +303,35 @@ def quadrature_rule(
         raise ValueError("quadrature_rule: half_width must be positive")
     bp = tuple(sorted(float(b) for b in breakpoints if -half_width < float(b) < half_width))
     return _rule_cached(float(half_width), int(panels), int(order), bp)
+
+
+def quadrature_rules(
+    breakpoints: np.ndarray,
+    *,
+    panels: int = DEFAULT_PANELS,
+    order: int = DEFAULT_ORDER,
+    half_width: float = HALF_WIDTH,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One composite rule per row of a 2-d array of breakpoints.
+
+    Returns nodes, weights and sizes, the first two of shape
+    (rows, width): the first sizes[i] entries of row i are, bit for
+    bit, the nodes and weights of
+    ``quadrature_rule(breakpoints=breakpoints[i])`` with the same
+    knobs.  The rest of the row is padding, nodes on the upper end of
+    the support with weight zero.  With no breakpoint columns every row
+    is the cached plain rule, returned as a read-only view.
+    """
+    plain = quadrature_rule(panels=panels, order=order, half_width=half_width)
+    breakpoints = np.asarray(breakpoints, dtype=float)
+    rows = breakpoints.shape[0]
+    if breakpoints.shape[1] == 0:
+        shape = (rows, plain.nodes.size)
+        return (
+            np.broadcast_to(plain.nodes, shape),
+            np.broadcast_to(plain.weights, shape),
+            np.full(rows, plain.nodes.size),
+        )
+    edges, counts = _panel_edges(breakpoints, panels, half_width)
+    nodes, weights = _nodes_and_weights(edges, order)
+    return nodes, weights, (counts - 1) * order

@@ -28,6 +28,15 @@ one integral, so a refined rule can serve as a reference; the rules'
 half-width factors are closed forms and take no knobs.  The length
 functions, the minimizer and the curve tables always use the default
 rule.
+
+A Scenario's gamma may be a 1-d array: the coverage and length
+functions then return one value per gamma, as an array, and a float
+for a float.  Each integral evaluates its gammas in blocks of at most
+BLOCK_GAMMAS rows of quadrature nodes, one pass through the rule's
+shift and factor per block, which bounds the temporaries of a long
+grid.  Every row is summed on its own, so a gamma's value does not
+depend on the grid it came in: the array call equals the scalar calls
+bit for bit.  The minimizer's grid and every curve are one such call.
 """
 
 from __future__ import annotations
@@ -48,6 +57,9 @@ REFINEMENT_TOL = 1e-7
 GAMMA_TOL = 1e-4
 SEARCH_GRID_STEP = 0.05
 SEARCH_GAMMA_MAX = 12.0
+#: Most gammas one pass of a coverage or length integral evaluates: a
+#: block is this many rows of quadrature nodes (400 by default).
+BLOCK_GAMMAS = 32
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -79,15 +91,27 @@ class Scenario:
 
     gamma is the restriction offset in units of its standard error,
     rho the design correlation.  Together they pin down every coverage
-    and length functional in this module.
+    and length functional in this module.  gamma may also be a
+    non-empty 1-d array of offsets, kept as a read-only copy; the
+    functionals then return one value per offset.  Such a Scenario is
+    neither hashable nor comparable with ==.
     """
 
-    gamma: float
+    gamma: float | np.ndarray
     rho: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.gamma):
-            raise ValueError(f"Scenario: gamma must be finite, got {self.gamma}")
+        if np.ndim(self.gamma) == 0:
+            if not math.isfinite(self.gamma):
+                raise ValueError(f"Scenario: gamma must be finite, got {self.gamma}")
+        else:
+            gamma = np.array(self.gamma, dtype=float)
+            if gamma.ndim != 1 or gamma.size == 0 or not np.all(np.isfinite(gamma)):
+                raise ValueError(
+                    "Scenario: gamma must be a finite float or a non-empty 1-d array of them"
+                )
+            gamma.setflags(write=False)
+            object.__setattr__(self, "gamma", gamma)
         if not math.isfinite(self.rho) or abs(self.rho) > RHO_MAX:
             raise ValueError(
                 f"Scenario: rho must satisfy |rho| <= {RHO_MAX}, got {self.rho}"
@@ -210,6 +234,32 @@ def build_interval(
     )
 
 
+def _blocks(scenario: Scenario):
+    """The scenario's gammas as columns of at most BLOCK_GAMMAS rows."""
+    gammas = np.atleast_1d(np.asarray(scenario.gamma, dtype=float))
+    for start in range(0, gammas.size, BLOCK_GAMMAS):
+        yield gammas[start : start + BLOCK_GAMMAS, None]
+
+
+def _like(scenario: Scenario, values: list[np.ndarray]) -> float | np.ndarray:
+    """Block results as a float for a scalar gamma, else one array."""
+    out = np.concatenate(values)
+    return float(out[0]) if np.ndim(scenario.gamma) == 0 else out
+
+
+def _row_sums(mass: np.ndarray, terms: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Sum of mass * terms over the first sizes[i] entries of each row i.
+
+    Each row is one dot product of its own length, so its sum does not
+    depend on the other rows of the block or on their padding.
+    """
+    out = np.empty(terms.shape[0])
+    for n in np.unique(sizes):
+        rows = sizes == n
+        out[rows] = np.matmul(mass[rows, None, :n], terms[rows, :n, None])[:, 0, 0]
+    return out
+
+
 def _coverage(
     scenario: Scenario,
     spec: PretestSpec,
@@ -217,7 +267,7 @@ def _coverage(
     which: IntervalRule,
     panels: int,
     order: int,
-) -> float:
+) -> float | np.ndarray:
     """Exact coverage probability of rule ``which``'s interval.
 
     Conditioning on the standardized restriction statistic h turns the
@@ -226,30 +276,30 @@ def _coverage(
     shift(h), and given h that estimate is N(rho * (h - gamma),
     1 - rho^2).  Integrating against the density of h gives a single
     absolutely convergent integral.  Panels are split where the rule
-    jumps, so no panel straddles a discontinuity.
+    jumps, so no panel straddles a discontinuity; each gamma of a block
+    gets its own rule.
     """
     alpha = _check_alpha(alpha)
     geometry = kernel.RULES[which]
     z_a = z_quantile(1.0 - 0.5 * alpha)
     rho = scenario.rho
-    gamma = scenario.gamma
-    rule = gauss.quadrature_rule(
-        panels=panels,
-        order=order,
-        breakpoints=[jump - gamma for jump in geometry.jumps(spec)],
-    )
-    zeta = rule.nodes
-    mass = rule.weights * phi(zeta)
-    h = gamma + zeta
-    shift = geometry.shift(h, rho, spec)
-    half = z_a * geometry.factor(h, rho, spec)
-    terms = Phi_interval(shift - half, shift + half, rho * zeta, 1.0 - rho * rho)
-    if not np.all(np.isfinite(terms)):
-        raise RuntimeError("coverage integrand produced a non-finite value")
-    cp = float(mass @ terms)
-    if not 0.0 <= cp <= 1.0:
-        raise RuntimeError(f"coverage integrated to {cp}, outside [0, 1]")
-    return cp
+    jumps = np.asarray(geometry.jumps(spec), dtype=float)
+    values = []
+    for gamma in _blocks(scenario):
+        zeta, weights, sizes = gauss.quadrature_rules(jumps - gamma, panels=panels, order=order)
+        mass = weights * phi(zeta)
+        h = gamma + zeta
+        shift = geometry.shift(h, rho, spec)
+        half = z_a * geometry.factor(h, rho, spec)
+        terms = Phi_interval(shift - half, shift + half, rho * zeta, 1.0 - rho * rho)
+        if not np.all(np.isfinite(terms)):
+            raise RuntimeError("coverage integrand produced a non-finite value")
+        cp = _row_sums(mass, terms, sizes)
+        outside = ~((0.0 <= cp) & (cp <= 1.0))
+        if np.any(outside):
+            raise RuntimeError(f"coverage integrated to {cp[outside][0]}, outside [0, 1]")
+        values.append(cp)
+    return _like(scenario, values)
 
 
 def coverage_sd(
@@ -259,7 +309,7 @@ def coverage_sd(
     *,
     panels: int = gauss.DEFAULT_PANELS,
     order: int = gauss.DEFAULT_ORDER,
-) -> float:
+) -> float | np.ndarray:
     """Exact coverage probability of the SD interval.
 
     Even in gamma and in rho; equal to 1 - alpha for every gamma when
@@ -275,7 +325,7 @@ def coverage_sd_delta(
     *,
     panels: int = gauss.DEFAULT_PANELS,
     order: int = gauss.DEFAULT_ORDER,
-) -> float:
+) -> float | np.ndarray:
     """Exact coverage probability of the SD_DELTA interval."""
     return _coverage(scenario, spec, alpha, IntervalRule.SD_DELTA, panels, order)
 
@@ -287,7 +337,7 @@ def coverage_pms(
     *,
     panels: int = gauss.DEFAULT_PANELS,
     order: int = gauss.DEFAULT_ORDER,
-) -> float:
+) -> float | np.ndarray:
     """Exact coverage probability of the naive post-selection interval.
 
     The conditional coverage jumps where the pretest flips, at
@@ -363,7 +413,7 @@ def min_coverage(
 
     n = int(math.floor(gamma_max / grid_step + 1e-9))
     grid = np.arange(n + 1) * grid_step
-    vals = np.array([f(g) for g in grid])
+    vals = cov(Scenario(gamma=grid, rho=rho), spec, alpha)
     i = int(np.argmin(vals))
     if i == n:
         raise RuntimeError(
@@ -388,7 +438,7 @@ def min_coverage(
 
 def _scaled_length(
     scenario: Scenario, spec: PretestSpec, alpha: float, c_min: float, which: IntervalRule
-) -> float:
+) -> float | np.ndarray:
     """Expected half-width factor of rule ``which`` over the flat-rate one.
 
     The flat-rate interval is centered on the unrestricted estimate and
@@ -399,17 +449,21 @@ def _scaled_length(
     c_min = float(c_min)
     if not 0.0 < c_min < 1.0:
         raise ValueError(f"scaled expected length: c_min must be in (0, 1), got {c_min}")
-    rule = gauss.quadrature_rule()
-    zeta = rule.nodes
-    mass = rule.weights * phi(zeta)
-    factor = np.asarray(kernel.RULES[which].factor(scenario.gamma + zeta, scenario.rho, spec))
-    if not np.all(np.isfinite(factor)):
-        raise RuntimeError("length integrand produced a non-finite value")
     ratio = z_quantile(1.0 - 0.5 * alpha) / z_quantile(0.5 * (1.0 + c_min))
-    return float(ratio * (mass @ factor))
+    values = []
+    for gamma in _blocks(scenario):
+        zeta, weights, sizes = gauss.quadrature_rules(np.empty((gamma.shape[0], 0)))
+        mass = weights * phi(zeta)
+        factor = kernel.RULES[which].factor(gamma + zeta, scenario.rho, spec)
+        if not np.all(np.isfinite(factor)):
+            raise RuntimeError("length integrand produced a non-finite value")
+        values.append(ratio * _row_sums(mass, factor, sizes))
+    return _like(scenario, values)
 
 
-def sel_sd(scenario: Scenario, spec: PretestSpec, alpha: float, c_min: float) -> float:
+def sel_sd(
+    scenario: Scenario, spec: PretestSpec, alpha: float, c_min: float
+) -> float | np.ndarray:
     """Scaled expected length of the SD interval.
 
     Expected length divided by the length of the fixed-width interval
@@ -422,7 +476,9 @@ def sel_sd(scenario: Scenario, spec: PretestSpec, alpha: float, c_min: float) ->
     return _scaled_length(scenario, spec, alpha, c_min, IntervalRule.SD)
 
 
-def sel_sd_delta(scenario: Scenario, spec: PretestSpec, alpha: float, c_min: float) -> float:
+def sel_sd_delta(
+    scenario: Scenario, spec: PretestSpec, alpha: float, c_min: float
+) -> float | np.ndarray:
     """Scaled expected length of the SD_DELTA interval; see sel_sd."""
     return _scaled_length(scenario, spec, alpha, c_min, IntervalRule.SD_DELTA)
 
@@ -447,8 +503,9 @@ def curve(
     finer grid reproduces the shared points bit for bit.  For the
     length quantities the normalizing c_min is computed once, from the
     matching rule's minimum coverage, and reused across the whole
-    grid.  Any evaluation failure is re-raised with the offending
-    gamma identified.
+    grid.  The grid is one array call; if it fails, the points are
+    evaluated one at a time and the first failure is re-raised with
+    its gamma identified.
     """
     quantity = Quantity(quantity)
     alpha = _check_alpha(alpha)
@@ -467,12 +524,16 @@ def curve(
         sel = _SEL_BY_RULE[rule]
         evaluate = lambda g: sel(Scenario(g, rho), spec, alpha, c_min)
 
-    values = np.empty(grid.size)
-    for idx, g in enumerate(grid):
-        try:
-            values[idx] = evaluate(float(g))
-        except (ValueError, ArithmeticError, RuntimeError) as exc:
-            raise RuntimeError(f"curve: evaluation failed at gamma = {g}: {exc}") from exc
+    failures = (ValueError, ArithmeticError, RuntimeError)
+    try:
+        values = evaluate(grid)
+    except failures:
+        for g in grid:
+            try:
+                evaluate(float(g))
+            except failures as exc:
+                raise RuntimeError(f"curve: evaluation failed at gamma = {g}: {exc}") from exc
+        raise
     return CurveTable(
         gammas=grid,
         values=values,

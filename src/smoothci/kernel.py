@@ -265,16 +265,14 @@ def r(gamma: float | np.ndarray, rho: float, spec: PretestSpec) -> float | np.nd
     The argument of the square root is non-negative by construction.
     Values in [-1e-12, 0) are treated as rounding and clamped to zero;
     anything more negative raises ConsistencyError.  At rho = 0 the
-    result is exactly 1.0.  Scalar and array arguments take the same
-    path, so r(g)[i] == r(g[i]) bit for bit.
+    result is exactly 1.0.  gamma may have any shape; scalar and array
+    arguments take the same path, so r(g)[i] == r(g[i]) bit for bit.
     """
     rho = _check_rho(rho)
-    g = np.atleast_1d(np.asarray(gamma, dtype=float))
-    if g.ndim != 1:
-        raise ValueError("r: gamma must be scalar or 1-d")
+    g = np.asarray(gamma, dtype=float)
     if not np.all(np.isfinite(g)):
         raise ValueError("r: gamma must be finite")
-    _, cov, var = _moments(g, spec)
+    _, cov, var = _moments(g.ravel(), spec)
     arg = 1.0 - 2.0 * rho * rho * cov + rho * rho * var
     bad = arg < _SQRT_ARG_FLOOR
     if np.any(bad):
@@ -283,8 +281,8 @@ def r(gamma: float | np.ndarray, rho: float, spec: PretestSpec) -> float | np.nd
             f"r: squared scale came out {worst:.3e} < {_SQRT_ARG_FLOOR:.0e}; "
             "the kernel moment identities are violated"
         )
-    out = np.sqrt(np.maximum(arg, 0.0))
-    return float(out[0]) if np.isscalar(gamma) or np.asarray(gamma).ndim == 0 else out
+    out = np.sqrt(np.maximum(arg, 0.0)).reshape(g.shape)
+    return float(out) if np.isscalar(gamma) or g.ndim == 0 else out
 
 
 def r_delta(

@@ -69,6 +69,8 @@ class SimPlan:
             raise ValueError("SimPlan: bootstrap_B must be >= 0 (0 = ideal smoothing)")
         if not isinstance(self.scenario, Scenario) or not isinstance(self.spec, PretestSpec):
             raise ValueError("SimPlan: scenario and spec must be the dedicated types")
+        if np.ndim(self.scenario.gamma) != 0:
+            raise ValueError("SimPlan: scenario gamma must be a scalar")
 
 
 @dataclass(frozen=True)

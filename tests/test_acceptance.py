@@ -303,14 +303,17 @@ def test_c8_linear_model_round_trip(tmp_path):
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(5)))
     beta0 = np.array([0.5, 1.0, -0.25])
     mu = data.X @ beta0
-    theta_hats = np.empty(n_sets)
-    tau_hats = np.empty(n_sets)
-    for i in range(n_sets):
-        y = mu + data.sigma * rng.standard_normal(len(mu))
-        fm = fit(Dataset(X=data.X, y=y, sigma=data.sigma,
+    # Row i is the i-th response vector of the stream, as n_sets draws
+    # of len(mu) in turn would give it; one least-squares solve fits all.
+    ys = mu + data.sigma * rng.standard_normal((n_sets, len(mu)))
+    betas = np.linalg.lstsq(data.X, ys.T, rcond=None)[0]
+    theta_hats = data.theta_vec @ betas
+    tau_hats = data.tau_vec @ betas
+    for i in range(1000):
+        fm = fit(Dataset(X=data.X, y=ys[i], sigma=data.sigma,
                          theta_vec=data.theta_vec, tau_vec=data.tau_vec))
-        theta_hats[i] = fm.theta_hat
-        tau_hats[i] = fm.gamma_hat * fm.sigma * math.sqrt(fm.v_tau)
+        assert abs(fm.theta_hat - theta_hats[i]) <= 1e-12
+        assert abs(fm.gamma_hat * fm.sigma * math.sqrt(fm.v_tau) - tau_hats[i]) <= 1e-12
     corr = float(np.corrcoef(theta_hats, tau_hats)[0, 1])
     se = (1.0 - rho_analytic**2) / math.sqrt(n_sets)
     assert abs(corr - rho_analytic) <= 3.0 * se

@@ -234,6 +234,39 @@ class TestQuadratureRule:
         with pytest.raises(ValueError):
             quadrature_rule(panels=0)
 
+    def test_close_breakpoints_merge_against_the_last_kept_edge(self):
+        # tol = 8e-12 at half width 8.  Of x, x + 5e-12, x + 1e-11 the
+        # middle one is within tol of x and goes; the last is within tol
+        # of the middle one but not of x, and stays.
+        x = 0.123
+        assert np.array_equal(quadrature_rule(breakpoints=(x, x + 5e-12, x + 1e-11)).nodes,
+                              quadrature_rule(breakpoints=(x, x + 1e-11)).nodes)
+        # A breakpoint within tol of an edge goes, at either end too.
+        edge = np.linspace(-8.0, 8.0, 41)[7]
+        for bp in (edge, edge + 1e-12, edge - 1e-12, 8.0 - 1e-13, -8.0 + 1e-13):
+            assert quadrature_rule(breakpoints=(bp,)).nodes.size == 400
+
+    def test_block_rows_equal_single_rules(self):
+        rng = np.random.default_rng(3)
+        edges = np.linspace(-8.0, 8.0, 41)
+        bps = np.concatenate([
+            rng.uniform(-10.0, 10.0, (40, 2)),
+            edges[rng.integers(0, 41, (10, 2))] + rng.choice([0.0, 1e-12, -3e-12], (10, 2)),
+            [[9.0, -9.0], [8.0, -8.0], [0.5, 0.5], [0.5, 0.5 + 5e-12]],
+        ])
+        for panels, order in ((40, 10), (7, 3)):
+            nodes, weights, sizes = gauss.quadrature_rules(bps, panels=panels, order=order)
+            assert nodes.shape == weights.shape == (len(bps), (panels + 2) * order)
+            for row, n, bp in zip(range(len(bps)), sizes, bps):
+                rule = quadrature_rule(panels=panels, order=order, breakpoints=bp)
+                assert np.array_equal(nodes[row, :n], rule.nodes)
+                assert np.array_equal(weights[row, :n], rule.weights)
+                assert np.all(weights[row, n:] == 0.0)
+        plain = quadrature_rule()
+        nodes, weights, sizes = gauss.quadrature_rules(np.empty((3, 0)))
+        assert np.all(nodes == plain.nodes) and np.all(weights == plain.weights)
+        assert list(sizes) == [plain.nodes.size] * 3
+
 
 class TestIntegrateAgainstShiftedNormal:
     def test_total_mass(self):

@@ -1,12 +1,13 @@
 """Tests for interval construction, coverage curves and the minimizer."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import smoothci.intervals as intervals_mod
-from smoothci import gauss
+from smoothci import gauss, kernel
 from smoothci.gauss import z_quantile
 from smoothci.intervals import (
     CurveTable,
@@ -50,6 +51,19 @@ class TestScenario:
     def test_gamma_must_be_finite(self):
         with pytest.raises(ValueError):
             Scenario(gamma=math.inf, rho=0.0)
+
+    def test_gamma_array_is_a_locked_copy(self):
+        grid = np.array([0.0, 0.5])
+        sc = Scenario(gamma=grid, rho=0.0)
+        grid[0] = 9.0
+        assert sc.gamma[0] == 0.0
+        with pytest.raises(ValueError):
+            sc.gamma[0] = 1.0
+
+    @pytest.mark.parametrize("bad", [[], [[0.0, 1.0]], [0.0, math.nan]])
+    def test_gamma_array_must_be_finite_and_1d(self, bad):
+        with pytest.raises(ValueError):
+            Scenario(gamma=np.array(bad), rho=0.0)
 
 
 class TestIntervalReport:
@@ -179,6 +193,78 @@ class TestCoverage:
             a = fn(sc, SPEC10, ALPHA)
             b = fn(sc, SPEC10, ALPHA, panels=80)
             assert a == pytest.approx(b, abs=1e-9)
+
+
+def _edge_gammas(spec: PretestSpec, index: int) -> list[float]:
+    """Gammas that put the breakpoint d - gamma on uniform panel edge
+    ``index`` of the default rule, within 1e-12 of it, and just past
+    the merge distance."""
+    edge = np.linspace(-gauss.HALF_WIDTH, gauss.HALF_WIDTH, gauss.DEFAULT_PANELS + 1)[index]
+    on = spec.d - edge
+    while spec.d - on != edge:
+        on = np.nextafter(on, np.inf if spec.d - on > edge else -np.inf)
+    return [float(on + off) for off in (0.0, 1e-12, -1e-12, 5e-13, -5e-13, 2e-11, -2e-11)]
+
+
+class TestBatchedGammas:
+    """An array of gammas gives the per-gamma scalar values bit for bit."""
+
+    SPECS = (
+        SPEC10,
+        PretestSpec.from_cutoff(2.0),
+        # Both breakpoints outside the support at small gamma, one inside
+        # from gamma 2 on.
+        PretestSpec.from_cutoff(10.0),
+    )
+
+    @staticmethod
+    def gammas(spec: PretestSpec) -> np.ndarray:
+        # 81 points span three blocks; the edge cases sit in the middle.
+        grid = list(np.arange(0.0, 12.01, 0.15))
+        grid[40:40] = [0.4] + _edge_gammas(spec, 24) + _edge_gammas(spec, 20)
+        assert len(grid) > 2 * intervals_mod.BLOCK_GAMMAS
+        return np.array(grid)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.7, -0.999])
+    @pytest.mark.parametrize("spec", SPECS, ids=["size0.1", "d2", "d10"])
+    def test_coverage(self, spec, rho):
+        grid = self.gammas(spec)
+        for cov in (coverage_sd, coverage_sd_delta, coverage_pms):
+            batched = cov(Scenario(grid, rho), spec, ALPHA)
+            assert isinstance(batched, np.ndarray) and batched.shape == grid.shape
+            scalar = [cov(Scenario(float(g), rho), spec, ALPHA) for g in grid]
+            assert [float(v) for v in batched] == scalar, cov.__name__
+
+    @pytest.mark.parametrize("rho", [0.0, 0.7, -0.999])
+    @pytest.mark.parametrize("spec", SPECS, ids=["size0.1", "d2", "d10"])
+    def test_length(self, spec, rho):
+        grid = self.gammas(spec)
+        for sel in (sel_sd, sel_sd_delta):
+            batched = sel(Scenario(grid, rho), spec, ALPHA, 0.9)
+            scalar = [sel(Scenario(float(g), rho), spec, ALPHA, 0.9) for g in grid]
+            assert [float(v) for v in batched] == scalar, sel.__name__
+
+    def test_refined_rule(self):
+        spec = PretestSpec.from_cutoff(2.0)
+        grid = self.gammas(spec)
+        for cov in (coverage_sd, coverage_sd_delta, coverage_pms):
+            batched = cov(Scenario(grid, 0.7), spec, ALPHA, panels=23, order=7)
+            scalar = [cov(Scenario(float(g), 0.7), spec, ALPHA, panels=23, order=7)
+                      for g in grid]
+            assert [float(v) for v in batched] == scalar, cov.__name__
+
+    def test_edge_gammas_reach_the_merge(self):
+        # At d = 2 both breakpoints +-d - gamma sit near panel edges for
+        # these gammas: within 1e-12 they merge into the edges and
+        # leave the plain rule, 2e-11 away both split a panel.
+        spec = PretestSpec.from_cutoff(2.0)
+        plain = gauss.DEFAULT_PANELS * gauss.DEFAULT_ORDER
+        *near, past, before = _edge_gammas(spec, 24)
+        for g, size in [(0.4, plain)] + [(g, plain) for g in near] + [
+            (past, plain + 20), (before, plain + 20)
+        ]:
+            rule = gauss.quadrature_rule(breakpoints=[-spec.d - g, spec.d - g])
+            assert rule.nodes.size == size, g
 
 
 class TestMinCoverage:
@@ -316,9 +402,16 @@ class TestCurve:
         assert tab.pretest is SPEC10
 
     def test_fine_pms_curve_keeps_the_rule_cache_bounded(self):
-        # Each PMS gamma asks for a rule with its own breakpoints.
+        # Each PMS gamma needs a rule with its own breakpoints.  The
+        # coverage integral builds them in blocks and caches none: the
+        # only cached rule is the plain one.
         gauss._rule_cached.cache_clear()
         tab = curve(Quantity.CP_PMS, 0.7, SPEC10, ALPHA, gamma_max=3.0, step=0.001)
+        assert gauss._rule_cached.cache_info().currsize == 1
+        # A caller that does sweep breakpoints through quadrature_rule
+        # still finds the cache bounded.
+        for g in tab.gammas[: gauss._RULE_CACHE_SIZE + 50]:
+            gauss.quadrature_rule(breakpoints=[-SPEC10.d - g, SPEC10.d - g])
         info = gauss._rule_cached.cache_info()
         assert info.misses > gauss._RULE_CACHE_SIZE
         assert info.currsize <= gauss._RULE_CACHE_SIZE
@@ -345,6 +438,28 @@ class TestCurve:
         monkeypatch.setitem(intervals_mod._COVERAGE_BY_RULE, IntervalRule.SD, explode)
         with pytest.raises(RuntimeError, match="gamma = 0.4"):
             curve(Quantity.CP, 0.0, SPEC10, ALPHA, gamma_max=1.0, step=0.2)
+
+    @pytest.mark.parametrize("quantity, message", [
+        (Quantity.CP_DELTA, "NaN endpoint"),
+        (Quantity.SEL_DELTA, "length integrand produced a non-finite value"),
+    ])
+    def test_nan_factor_names_its_gamma(self, monkeypatch, quantity, message):
+        # The factor turns NaN on the one row of a block whose nodes
+        # start at bad + z0; off the minimizer's 0.05 grid, so only the
+        # curve meets it.
+        bad = 0.625
+        z0 = gauss.quadrature_rule().nodes[0]
+        geometry = kernel.RULES[IntervalRule.SD_DELTA]
+
+        def nan_factor(h, rho, spec):
+            out = np.array(geometry.factor(h, rho, spec), dtype=float)
+            out[np.abs(h[..., :1] - z0 - bad) < 1e-9 + np.zeros_like(out)] = math.nan
+            return out
+
+        monkeypatch.setitem(kernel.RULES, IntervalRule.SD_DELTA,
+                            dataclasses.replace(geometry, factor=nan_factor))
+        with pytest.raises(RuntimeError, match=f"gamma = {bad}: .*{message}"):
+            curve(quantity, 0.7, SPEC10, ALPHA, gamma_max=2.0, step=0.125)
 
 
 class TestCurveTable:

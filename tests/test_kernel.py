@@ -227,6 +227,10 @@ class TestR:
             for rho in (0.7, -0.999):
                 vec = r(g, rho, spec)
                 assert [float(v) for v in vec] == [r(float(x), rho, spec) for x in g]
+                # A block of rows, as the coverage integrals pass it.
+                block = r(g[:100].reshape(4, 25), rho, spec)
+                assert block.shape == (4, 25)
+                assert np.array_equal(block.ravel(), vec[:100])
 
 
 class TestClosedFormMoments:
