@@ -1,19 +1,17 @@
 """Gaussian primitives and the fixed quadrature engine.
 
-Everything downstream reduces to four operations: the standard normal
-density, its CDF, its quantile, and integrals of bounded functions
-against a shifted standard normal density.  The quadrature engine is a
-composite Gauss-Legendre rule on a fixed truncated support.  With the
-default half width of 8 the neglected tail mass is 2*Phi(-8), about
-1.2e-15, far below every tolerance used in this package.
-
-All rules live in the standardized variable z = h - gamma, so a single
-cached rule serves every shift.  Integrands with known discontinuities
-pass their breakpoints in; panels are split there so no panel straddles
-a jump and the composite rule keeps its full accuracy.  quadrature_rule
-gives one rule; quadrature_rules gives one per row of a breakpoint
-array, padded to a common width, built in one vectorized pass by the
-same code.
+Everything downstream reduces to a handful of operations: the standard
+normal density, its CDF, its quantile, interval probabilities of a
+normal variate, orthant probabilities of a correlated normal pair, and
+integrals of smooth functions against a shifted standard normal
+density.  The quadrature engine is a composite Gauss-Legendre rule with
+equal panels; the coverage and length integrals lay its one-panel rule
+end to end on a lattice in the restriction statistic (see intervals).
+With the default half width of 8 the neglected tail mass of a window
+is at most 2*Phi(-8), about 1.2e-15, far below every tolerance used in
+this package.  bvn_orthant gives the bivariate probabilities through
+Owen's T function, for the closed-form PMS coverage and the kernel
+moments.
 """
 
 from __future__ import annotations
@@ -21,11 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import erfc
+from scipy.special import erfc, owens_t
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -37,11 +34,10 @@ HALF_WIDTH = 8.0
 DEFAULT_PANELS = 40
 #: Gauss-Legendre nodes per panel.
 DEFAULT_ORDER = 10
-#: Most rules kept by the rule cache.  A rule with breakpoints is keyed
-#: by where they fall, so a caller sweeping them over a grid asks for a
-#: new one at every point; the bound keeps such a sweep from holding
-#: them all.  The coverage integrals, whose breakpoints move with gamma,
-#: build their rules in blocks with quadrature_rules, outside the cache.
+#: Most rules kept by the rule cache.  The integrals' lattice asks for
+#: a one-panel rule whose width depends on the correlation, so a sweep
+#: over many correlations (or panel counts) asks for a new rule each
+#: time; the bound keeps such a sweep from holding them all.
 _RULE_CACHE_SIZE = 256
 
 
@@ -219,67 +215,17 @@ def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return leggauss(order)
 
 
-def _panel_edges(
-    breakpoints: np.ndarray, panels: int, half_width: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Panel edges of one composite rule per row of breakpoints.
-
-    Each row gets the uniform edges plus its own breakpoints, sorted.
-    Breakpoints outside the open support are dropped.  A breakpoint
-    within rounding distance of an edge already kept would create a
-    degenerate sliver panel whose nodes collide in floating point, so
-    it is merged away; the outer boundary always survives.  Rows can
-    end up with different edge counts: each is padded on the right
-    with copies of the upper boundary, and the counts are returned.
-    """
-    rows = breakpoints.shape[0]
-    uniform = np.broadcast_to(np.linspace(-half_width, half_width, panels + 1), (rows, panels + 1))
-    # Parked on the lower boundary, an outside breakpoint becomes an
-    # exact duplicate there, which the merge drops.
-    inside = (breakpoints > -half_width) & (breakpoints < half_width)
-    edges = np.sort(
-        np.concatenate([uniform, np.where(inside, breakpoints, -half_width)], axis=1), axis=1
-    )
-    tol = 1e-12 * half_width
-    keep = np.ones(edges.shape, dtype=bool)
-    keep[:, 1:] = np.diff(edges, axis=1) > tol
-    # An edge far from its left neighbour is always kept.  One close to
-    # it is kept only if it is far from the last edge kept so far, which
-    # for a run of close edges is not the neighbour: settle those
-    # columns left to right.
-    for j in np.flatnonzero(~keep.all(axis=0)):
-        last_kept = np.max(np.where(keep[:, :j], edges[:, :j], -np.inf), axis=1)
-        keep[:, j] = edges[:, j] - last_kept > tol
-    lost = ~keep[:, -1]
-    if np.any(lost):
-        # The upper boundary replaces the last edge kept before it.
-        last = edges.shape[1] - 1 - np.argmax(keep[:, ::-1], axis=1)
-        keep[lost, last[lost]] = False
-        keep[:, -1] = True
-    counts = keep.sum(axis=1)
-    edges = np.take_along_axis(edges, np.argsort(~keep, axis=1, kind="stable"), axis=1)
-    width = int(counts.max())
-    edges = edges[:, :width]
-    edges[np.arange(width) >= counts[:, None]] = half_width
-    return edges, counts
-
-
-def _nodes_and_weights(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on every panel of every row of edges."""
-    base_x, base_w = _legendre(order)
-    mid = 0.5 * (edges[:, :-1, None] + edges[:, 1:, None])
-    half = 0.5 * (edges[:, 1:, None] - edges[:, :-1, None])
-    rows = edges.shape[0]
-    return (mid + half * base_x).reshape(rows, -1), (half * base_w).reshape(rows, -1)
-
-
 @lru_cache(maxsize=_RULE_CACHE_SIZE)
-def _rule_cached(
-    half_width: float, panels: int, order: int, breakpoints: tuple[float, ...]
-) -> QuadratureRule:
-    edges, _ = _panel_edges(np.array([breakpoints], dtype=float), panels, half_width)
-    nodes, weights = _nodes_and_weights(edges, order)
-    return QuadratureRule(nodes=nodes[0], weights=weights[0], support=(-half_width, half_width))
+def _rule_cached(half_width: float, panels: int, order: int) -> QuadratureRule:
+    base_x, base_w = _legendre(order)
+    edges = np.linspace(-half_width, half_width, panels + 1)
+    mid = 0.5 * (edges[:-1, None] + edges[1:, None])
+    half = 0.5 * (edges[1:, None] - edges[:-1, None])
+    return QuadratureRule(
+        nodes=(mid + half * base_x).ravel(),
+        weights=(half * base_w).ravel(),
+        support=(-half_width, half_width),
+    )
 
 
 def quadrature_rule(
@@ -287,51 +233,83 @@ def quadrature_rule(
     panels: int = DEFAULT_PANELS,
     order: int = DEFAULT_ORDER,
     half_width: float = HALF_WIDTH,
-    breakpoints: Iterable[float] = (),
 ) -> QuadratureRule:
     """Composite Gauss-Legendre rule on [-half_width, half_width].
 
-    The rule lives in the standardized variable; callers shift it to
-    wherever the normal density is centered.  Breakpoints (given in the
-    standardized variable) become extra panel edges.  Ones outside the
-    open support are dropped: beyond the truncation point they cannot
-    affect the integral.
+    The support is cut into ``panels`` equal panels with ``order``
+    nodes each.  Callers translate the rule to wherever they need it.
     """
     if panels < 1 or order < 2:
         raise ValueError("quadrature_rule: need panels >= 1 and order >= 2")
     if not half_width > 0.0:
         raise ValueError("quadrature_rule: half_width must be positive")
-    bp = tuple(sorted(float(b) for b in breakpoints if -half_width < float(b) < half_width))
-    return _rule_cached(float(half_width), int(panels), int(order), bp)
+    return _rule_cached(float(half_width), int(panels), int(order))
 
 
-def quadrature_rules(
-    breakpoints: np.ndarray,
-    *,
-    panels: int = DEFAULT_PANELS,
-    order: int = DEFAULT_ORDER,
-    half_width: float = HALF_WIDTH,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One composite rule per row of a 2-d array of breakpoints.
+def _upper_tail(x: np.ndarray) -> np.ndarray:
+    """Q(x) = 1 - Phi(x), without Phi's input checks."""
+    return 0.5 * erfc(x / _SQRT2)
 
-    Returns nodes, weights and sizes, the first two of shape
-    (rows, width): the first sizes[i] entries of row i are, bit for
-    bit, the nodes and weights of
-    ``quadrature_rule(breakpoints=breakpoints[i])`` with the same
-    knobs.  The rest of the row is padding, nodes on the upper end of
-    the support with weight zero.  With no breakpoint columns every row
-    is the cached plain rule, returned as a read-only view.
+
+def _wedge(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Q(x)/2 - T(x, y/x) for x, y >= 0 not both 0; T is Owen's function.
+
+    That is the mass of a standard normal pair beyond x in its first
+    coordinate and beyond the ray through (x, y) in the second.  For
+    y > x Owen's identity
+        T(x, a) + T(ax, 1/a) = Q(x)/2 + Q(ax)/2 - Q(x) Q(ax)
+    rewrites it as T(y, x/y) - Q(y) (1/2 - Q(x)).  Either way the
+    terms are no larger than Q(min(x, y)), not O(1): a wedge far in
+    the tail keeps most of its relative accuracy, and one beyond the
+    double range comes out 0.
     """
-    plain = quadrature_rule(panels=panels, order=order, half_width=half_width)
-    breakpoints = np.asarray(breakpoints, dtype=float)
-    rows = breakpoints.shape[0]
-    if breakpoints.shape[1] == 0:
-        shape = (rows, plain.nodes.size)
-        return (
-            np.broadcast_to(plain.nodes, shape),
-            np.broadcast_to(plain.weights, shape),
-            np.full(rows, plain.nodes.size),
-        )
-    edges, counts = _panel_edges(breakpoints, panels, half_width)
-    nodes, weights = _nodes_and_weights(edges, order)
-    return nodes, weights, (counts - 1) * order
+    far = y > x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = owens_t(np.where(far, y, x), np.where(far, x / y, y / x))
+    qx, qy = _upper_tail(np.array([x, y]))
+    return np.where(far, t - qy * (0.5 - qx), 0.5 * qx - t)
+
+
+def _bvn_diagonal(h: np.ndarray, rho: float) -> np.ndarray:
+    """bvn_orthant on its diagonal, P(X > h, Y <= h) = 2 T(h, (1 - rho)/s),
+    without input checks."""
+    return 2.0 * owens_t(h, (1.0 - rho) / math.sqrt((1.0 - rho) * (1.0 + rho)))
+
+
+def bvn_orthant(
+    h: float | np.ndarray, k: float | np.ndarray, rho: float
+) -> float | np.ndarray:
+    """P(X > h, Y <= k) for standard normal X, Y with correlation rho.
+
+    Every rectangle probability of the pair is a signed sum of these.
+    Off the diagonal the corner (h, k) is split along the ray from the
+    origin into two wedges, one per coordinate, each from Owen's T
+    (Owen 1956; scipy's owens_t implements Patefield and Tandy 2000).
+    Wedges far in the tail are evaluated without O(1) cancellation
+    (see _wedge), so a probability below the double range comes out
+    exactly 0.  On the diagonal h == k the probability is
+    2 T(h, (1 - rho)/s) with s = sqrt(1 - rho^2), which also holds at
+    the origin, where the general split is undefined; there it is
+    1/4 - asin(rho)/(2 pi).  Needs |rho| < 1 and finite h, k.
+    """
+    rho = float(rho)
+    if not abs(rho) < 1.0:
+        raise ValueError(f"bvn_orthant: need |rho| < 1, got {rho}")
+    h_arr, k_arr = np.broadcast_arrays(np.asarray(h, dtype=float), np.asarray(k, dtype=float))
+    if not (np.all(np.isfinite(h_arr)) and np.all(np.isfinite(k_arr))):
+        raise ValueError("bvn_orthant: corner must be finite")
+    on_diagonal = h_arr == k_arr
+    out = _bvn_diagonal(h_arr, rho)
+    if not np.all(on_diagonal):
+        s = math.sqrt((1.0 - rho) * (1.0 + rho))
+        # Signed distance of the corner from the ray, seen from each
+        # axis: the wedge on an axis is Q/2 -+ T by its sign.
+        t = np.array([k_arr - rho * h_arr, rho * k_arr - h_arr]) / s
+        x = np.abs(np.array([h_arr, k_arr]))
+        w = _wedge(x, np.abs(t))
+        side_h, side_k = np.where(t <= 0.0, w, _upper_tail(x) - w)
+        sign_h = np.where(h_arr < 0.0, -1.0, 1.0)
+        sign_k = np.where(k_arr < 0.0, -1.0, 1.0)
+        off = ((h_arr < 0.0) & (k_arr >= 0.0)) + sign_h * side_h - sign_k * side_k
+        out = np.where(on_diagonal, out, np.clip(off, 0.0, 1.0))
+    return float(out) if np.ndim(h) == 0 and np.ndim(k) == 0 else out

@@ -14,29 +14,38 @@ Four interval constructions share one centering-plus-half-width shape:
 
 Each rule is one entry of ``kernel.RULES``: a center shift and a
 half-width factor, both functions of the standardized restriction
-statistic, plus the statistic values where the rule jumps.
-build_interval and the two integrals below read the rule from there
-and nowhere else.
+statistic h.  build_interval and the two integrals below read the rule
+from there and nowhere else.
 
-Coverage probabilities and scaled expected lengths are deterministic
-one-dimensional integrals against a shifted normal density, evaluated
-on the fixed quadrature engine.  They depend on the unknown true
-parameters only through the standardized restriction offset gamma and
-the design correlation rho, bundled as a Scenario.  The coverage
-functions take the engine's ``panels=`` and ``order=`` knobs for that
-one integral, so a refined rule can serve as a reference; the rules'
-half-width factors are closed forms and take no knobs.  The length
-functions, the minimizer and the curve tables always use the default
-rule.
+Coverage probabilities and scaled expected lengths depend on the
+unknown true parameters only through the standardized restriction
+offset gamma and the design correlation rho, bundled as a Scenario.
+The PMS coverage is closed form: bivariate normal probabilities from
+Owen's T (gauss.bvn_orthant).  The SD and SD_DELTA coverage and
+length are one-dimensional integrals in h against the N(gamma, 1)
+density, on a lattice of Gauss-Legendre panels anchored at h = 0 that
+does not depend on gamma: each gamma reads the window of whole panels
+covering [gamma - 8, gamma + 8].  The rule's shift and factor depend
+on h alone, so they are evaluated once per lattice node per call, not
+once per (gamma, node), and the minimizer's golden-section steps read
+their windows from the lattice of its grid.  The panels are narrowed
+as |rho| nears 1 or the cutoff grows, where the integrand switches
+over a short range of h, so the default rule holds its accuracy up to
+RHO_MAX.  The SD coverage functions take ``panels=`` and ``order=``
+knobs for that lattice, so a refined rule can serve as a reference;
+the rules' half-width factors are closed forms and take no knobs.  The
+length functions, the minimizer and the curve tables always use the
+default rule.
 
 A Scenario's gamma may be a 1-d array: the coverage and length
 functions then return one value per gamma, as an array, and a float
-for a float.  Each integral evaluates its gammas in blocks of at most
-BLOCK_GAMMAS rows of quadrature nodes, one pass through the rule's
-shift and factor per block, which bounds the temporaries of a long
-grid.  Every row is summed on its own, so a gamma's value does not
-depend on the grid it came in: the array call equals the scalar calls
-bit for bit.  The minimizer's grid and every curve are one such call.
+for a float.  An integral walks its gammas in blocks of at most
+BLOCK_NODES (gamma, node) pairs, which bounds the temporaries of a long
+grid; a lattice node's bits depend only on its panel's index, and every
+gamma's window is summed on its own, so a gamma's value does not depend
+on the grid it came in: the array call equals the scalar calls bit for
+bit.  The minimizer's grid and every curve are one such call, and an
+evaluation that fails names the first gamma it fails at.
 """
 
 from __future__ import annotations
@@ -44,8 +53,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import gauss, kernel
 from .gauss import Phi_interval, phi, z_quantile
@@ -57,9 +68,18 @@ REFINEMENT_TOL = 1e-7
 GAMMA_TOL = 1e-4
 SEARCH_GRID_STEP = 0.05
 SEARCH_GAMMA_MAX = 12.0
-#: Most gammas one pass of a coverage or length integral evaluates: a
-#: block is this many rows of quadrature nodes (400 by default).
-BLOCK_GAMMAS = 32
+#: Most (gamma, node) pairs one pass of a coverage or length integral
+#: evaluates: 31 of the default 410-node windows, 4 of the 2,790-node
+#: windows at RHO_MAX and the default cutoff.
+BLOCK_NODES = 32 * 400
+#: Most widths over which a conditional coverage switches that one
+#: lattice panel may span (see _panel_width).  With 1.5 the default
+#: rule stays within 5e-15 of a 1280 x 20 one for cutoffs up to 10 and
+#: |rho| up to RHO_MAX; with 2 the error reaches 4e-13.
+PANEL_SWITCHES = 1.5
+#: Most lattice nodes one integral keeps shift and factor values for;
+#: gammas spread farther apart are integrated in several passes.
+LATTICE_NODES = 1 << 16
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -234,30 +254,133 @@ def build_interval(
     )
 
 
-def _blocks(scenario: Scenario):
-    """The scenario's gammas as columns of at most BLOCK_GAMMAS rows."""
-    gammas = np.atleast_1d(np.asarray(scenario.gamma, dtype=float))
-    for start in range(0, gammas.size, BLOCK_GAMMAS):
-        yield gammas[start : start + BLOCK_GAMMAS, None]
+def _panel_width(rho: float, spec: PretestSpec, panels: int) -> tuple[float, int]:
+    """Width of the h-lattice's panels and the panels one window spans.
 
-
-def _like(scenario: Scenario, values: list[np.ndarray]) -> float | np.ndarray:
-    """Block results as a float for a scalar gamma, else one array."""
-    out = np.concatenate(values)
-    return float(out[0]) if np.ndim(scenario.gamma) == 0 else out
-
-
-def _row_sums(mass: np.ndarray, terms: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Sum of mass * terms over the first sizes[i] entries of each row i.
-
-    Each row is one dot product of its own length, so its sum does not
-    depend on the other rows of the block or on their padding.
+    Given h the standardized estimate has standard deviation
+    s = sqrt(1 - rho^2), and its distance from a smoothed interval's
+    center, rho (h - gamma) - rho k(h), moves at rate |rho| (1 - q(h))
+    in h; 1 - q peaks at about 1 - q(d), near h = +-d.  So the
+    conditional coverage switches over an h-width of about
+    s / (|rho| (1 - q(d))), which at |rho| near 1 or a large cutoff is
+    far narrower than the default panel.  The support 2 * HALF_WIDTH
+    gets at least ``panels`` panels, none wider than PANEL_SWITCHES
+    switch widths.  A window of count + 1 whole panels covers
+    [gamma - HALF_WIDTH, gamma + HALF_WIDTH] wherever gamma falls.
     """
-    out = np.empty(terms.shape[0])
-    for n in np.unique(sizes):
-        rows = sizes == n
-        out[rows] = np.matmul(mass[rows, None, :n], terms[rows, :n, None])[:, 0, 0]
-    return out
+    switches = abs(rho) * (1.0 - kernel.q(spec.d, spec)) / math.sqrt(1.0 - rho * rho)
+    count = max(panels, math.ceil(2.0 * gauss.HALF_WIDTH * switches / PANEL_SWITCHES))
+    return 2.0 * gauss.HALF_WIDTH / count, count + 1
+
+
+class _Lattice:
+    """One rule's shift and factor on the h-lattice of one correlation.
+
+    The nodes of panel p are the one-panel rule translated to
+    (p + 1/2) * width, so a node's bits depend on p alone, not on the
+    span it was evaluated in.  The span last evaluated is kept, and a
+    window inside it is read as a slice.  ``local`` holds a window's
+    nodes relative to its first panel's lower edge.
+    """
+
+    def __init__(self, geometry: kernel.RuleGeometry, rho: float, spec: PretestSpec,
+                 panels: int, order: int) -> None:
+        self.width, self.window = _panel_width(rho, spec, panels)
+        self.rule = gauss.quadrature_rule(panels=1, order=order, half_width=0.5 * self.width)
+        self.local = self._nodes(0, self.window)
+        self.geometry, self.rho, self.spec = geometry, rho, spec
+        # (first panel, end panel, shift, factor), replaced as a whole.
+        self.kept: tuple = (0, 0, None, None)
+
+    def _nodes(self, lo: int, hi: int) -> np.ndarray:
+        return (((np.arange(lo, hi) + 0.5) * self.width)[:, None] + self.rule.nodes).ravel()
+
+    def first_panels(self, gammas: np.ndarray) -> np.ndarray:
+        """Index of the first panel of each gamma's window.
+
+        Clipped to +-2^62 so that any finite gamma gets an int64 index;
+        a gamma past the clip by more than a window lies so far from
+        its window that the integrals take their large-gamma limits.
+        """
+        first = np.floor((gammas - gauss.HALF_WIDTH) / self.width)
+        return np.clip(first, -2.0**62, 2.0**62).astype(np.int64)
+
+    def span(self, lo: int, hi: int) -> list[np.ndarray]:
+        """Shift and factor at the nodes of panels lo to hi - 1."""
+        kept_lo, kept_hi, *values = self.kept
+        if not (kept_lo <= lo and hi <= kept_hi):
+            h = self._nodes(lo, hi)
+            kept_lo, values = lo, [self.geometry.shift(h, self.rho, self.spec),
+                                   self.geometry.factor(h, self.rho, self.spec)]
+            self.kept = (lo, hi, *values)
+        per_panel = self.rule.nodes.size
+        return [v[(lo - kept_lo) * per_panel : (hi - kept_lo) * per_panel] for v in values]
+
+
+@lru_cache(maxsize=1)
+def _lattice(geometry: kernel.RuleGeometry, rho: float, spec: PretestSpec,
+             panels: int, order: int) -> _Lattice:
+    """The lattice of the last (rule, rho, spec, rule knobs) integrated.
+
+    Consecutive integrals of one rule, such as the minimizer's grid and
+    its golden-section steps, read their windows from one evaluation.
+    """
+    return _Lattice(geometry, rho, spec, panels, order)
+
+
+def _windows(scenario: Scenario, spec: PretestSpec, which: IntervalRule,
+             panels: int, order: int):
+    """The scenario's gammas in blocks, each with its windows of the lattice.
+
+    Yields (positions, gammas, weights, zeta, shift, factor): the
+    block's positions among the scenario's gammas, those gammas as a
+    column, the quadrature weights of one window, and per gamma a row
+    of its window's nodes as h - gamma, shifts and factors.  h - gamma
+    is the window's offset from gamma plus the nodes' offsets in the
+    window, so it keeps its precision however large gamma is.  Gammas
+    are taken in the order of their windows; a run of them whose
+    windows fit in LATTICE_NODES shares one lattice evaluation, and a
+    block holds at most BLOCK_NODES nodes (at least one window).
+    """
+    lattice = _lattice(kernel.RULES[which], scenario.rho, spec, panels, order)
+    gammas = np.atleast_1d(np.asarray(scenario.gamma, dtype=float))
+    first = lattice.first_panels(gammas)
+    by_window = np.argsort(first, kind="stable")
+    first_sorted = first[by_window]
+    nodes = lattice.local.size
+    rows = max(1, BLOCK_NODES // nodes)
+    reach = max(LATTICE_NODES // order, lattice.window) - lattice.window
+    weights = np.tile(lattice.rule.weights, lattice.window)
+    start = 0
+    while start < gammas.size:
+        lo = first_sorted[start]
+        stop = int(np.searchsorted(first_sorted, lo + reach, side="right"))
+        values = lattice.span(lo, first_sorted[stop - 1] + lattice.window)
+        # Windows start on panel edges: every order-th sliding window.
+        views = [sliding_window_view(v, nodes)[::order] for v in values]
+        for at in range(start, stop, rows):
+            positions = by_window[at : min(at + rows, stop)]
+            gamma = gammas[positions, None]
+            zeta = (first[positions, None] * lattice.width - gamma) + lattice.local
+            offsets = first[positions] - lo
+            yield (positions, gamma, weights, zeta, *(view[offsets] for view in views))
+        start = stop
+
+
+def _row_sums(mass: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Sum of mass * terms along each row, one dot product per row,
+    so a row's sum does not depend on the other rows of its block."""
+    return np.matmul(mass[:, None, :], terms[:, :, None])[:, 0, 0]
+
+
+def _failure(gamma: np.ndarray, ok: np.ndarray, problem) -> RuntimeError:
+    """A RuntimeError naming the first gamma of a block whose row is not ok."""
+    return RuntimeError(f"evaluation failed at gamma = {gamma[np.argmin(ok), 0]}: {problem}")
+
+
+def _like(scenario: Scenario, values: np.ndarray) -> float | np.ndarray:
+    """A float for a scalar gamma, else the array."""
+    return float(values[0]) if np.ndim(scenario.gamma) == 0 else values
 
 
 def _coverage(
@@ -275,31 +398,37 @@ def _coverage(
     covers when the standardized estimate lies within z * factor(h) of
     shift(h), and given h that estimate is N(rho * (h - gamma),
     1 - rho^2).  Integrating against the density of h gives a single
-    absolutely convergent integral.  Panels are split where the rule
-    jumps, so no panel straddles a discontinuity; each gamma of a block
-    gets its own rule.
+    absolutely convergent integral, taken on each gamma's window of
+    the rule's h-lattice.  The rule must be continuous in h.  What is
+    integrated is the departure from the full-model interval at
+    rho = 0, whose conditional coverage is the same at every h: at
+    rho = 0 every rule is that interval and the coverage comes out
+    exactly flat in gamma, and the few 1e-15 of density mass beyond a
+    window multiply only the departure.
     """
     alpha = _check_alpha(alpha)
-    geometry = kernel.RULES[which]
     z_a = z_quantile(1.0 - 0.5 * alpha)
     rho = scenario.rho
-    jumps = np.asarray(geometry.jumps(spec), dtype=float)
-    values = []
-    for gamma in _blocks(scenario):
-        zeta, weights, sizes = gauss.quadrature_rules(jumps - gamma, panels=panels, order=order)
-        mass = weights * phi(zeta)
-        h = gamma + zeta
-        shift = geometry.shift(h, rho, spec)
-        half = z_a * geometry.factor(h, rho, spec)
-        terms = Phi_interval(shift - half, shift + half, rho * zeta, 1.0 - rho * rho)
-        if not np.all(np.isfinite(terms)):
-            raise RuntimeError("coverage integrand produced a non-finite value")
-        cp = _row_sums(mass, terms, sizes)
-        outside = ~((0.0 <= cp) & (cp <= 1.0))
-        if np.any(outside):
-            raise RuntimeError(f"coverage integrated to {cp[outside][0]}, outside [0, 1]")
-        values.append(cp)
-    return _like(scenario, values)
+    # The full-model interval covers with this probability given any h
+    # at rho = 0; only the departure from it is integrated.
+    nominal = Phi_interval(-z_a, z_a, 0.0, 1.0)
+    out = np.empty(np.size(scenario.gamma))
+    for positions, gamma, weights, zeta, shift, factor in _windows(
+            scenario, spec, which, panels, order):
+        half = z_a * factor
+        lower, upper = shift - half, shift + half
+        try:
+            terms = Phi_interval(lower, upper, rho * zeta, 1.0 - rho * rho)
+        except ValueError as exc:
+            ok = np.all(lower <= upper, axis=1)
+            raise (_failure(gamma, ok, exc) if not np.all(ok) else exc) from exc
+        cp = nominal + _row_sums(weights * phi(zeta), terms - nominal)
+        ok = (0.0 <= cp) & (cp <= 1.0)
+        if not np.all(ok):
+            raise _failure(gamma, ok, f"coverage integrated to {cp[np.argmin(ok)]}, "
+                                      "outside [0, 1]")
+        out[positions] = cp
+    return _like(scenario, out)
 
 
 def coverage_sd(
@@ -330,22 +459,38 @@ def coverage_sd_delta(
     return _coverage(scenario, spec, alpha, IntervalRule.SD_DELTA, panels, order)
 
 
-def coverage_pms(
-    scenario: Scenario,
-    spec: PretestSpec,
-    alpha: float,
-    *,
-    panels: int = gauss.DEFAULT_PANELS,
-    order: int = gauss.DEFAULT_ORDER,
-) -> float | np.ndarray:
+def coverage_pms(scenario: Scenario, spec: PretestSpec, alpha: float) -> float | np.ndarray:
     """Exact coverage probability of the naive post-selection interval.
 
-    The conditional coverage jumps where the pretest flips, at
-    standardized statistic values +-d.  At rho = 0 both branches reduce
-    to the full-width interval and the coverage is identically
-    1 - alpha.
+    Closed form.  With X = h - gamma and T the standardized estimate
+    (standard normals with correlation rho), U = T - rho X is
+    independent of X.  While the pretest accepts (|h| <= d) the
+    interval covers iff |U - rho gamma| <= z sqrt(1 - rho^2); otherwise
+    iff |T| <= z.  So
+
+        cp = [Phi(d - g) - Phi(-d - g)] [Phi(z - m) - Phi(-z - m)]
+             + P(X not in [-d - g, d - g], |T| <= z),
+
+    m = |rho| g / sqrt(1 - rho^2).  The last term, (2 Phi(z) - 1)
+    minus the rectangle P(X in [-d - g, d - g], |T| <= z), is taken as
+    the two strips beyond the cutoffs, each a difference of two
+    bivariate orthants: near |rho| = 1 it can be far smaller than the
+    rounding error of that subtraction.  Everything is computed with
+    |rho|, so the coverage is even in rho bit for bit, and with the
+    reflection-exact Phi_interval, so it is even in gamma bit for bit.
+    At rho = 0 it is identically 1 - alpha.
     """
-    return _coverage(scenario, spec, alpha, IntervalRule.PMS, panels, order)
+    alpha = _check_alpha(alpha)
+    z_a = z_quantile(1.0 - 0.5 * alpha)
+    rho = abs(scenario.rho)
+    gamma = np.asarray(scenario.gamma, dtype=float)
+    d = spec.d
+    accept = Phi_interval(-d, d, gamma, 1.0)
+    narrow = Phi_interval(-z_a, z_a, rho * gamma / math.sqrt(1.0 - rho * rho), 1.0)
+    beyond = np.array([d - gamma, d + gamma])
+    strips = gauss.bvn_orthant(beyond, z_a, rho) - gauss.bvn_orthant(beyond, -z_a, rho)
+    cp = np.clip(accept * narrow + (strips[0] + strips[1]), 0.0, 1.0)
+    return float(cp) if np.ndim(scenario.gamma) == 0 else cp
 
 
 _COVERAGE_BY_RULE = {
@@ -437,28 +582,36 @@ def min_coverage(
 
 
 def _scaled_length(
-    scenario: Scenario, spec: PretestSpec, alpha: float, c_min: float, which: IntervalRule
+    scenario: Scenario,
+    spec: PretestSpec,
+    alpha: float,
+    c_min: float,
+    which: IntervalRule,
+    *,
+    panels: int = gauss.DEFAULT_PANELS,
+    order: int = gauss.DEFAULT_ORDER,
 ) -> float | np.ndarray:
     """Expected half-width factor of rule ``which`` over the flat-rate one.
 
     The flat-rate interval is centered on the unrestricted estimate and
     calibrated to confidence level c_min, so the ratio is
-    z_{1 - alpha/2} E[factor(h)] / z_{(1 + c_min)/2}.
+    z_{1 - alpha/2} E[factor(h)] / z_{(1 + c_min)/2}, the expectation
+    taken on the same h-lattice windows as the coverage, as 1 plus
+    that of factor - 1 (the flat rate's factor), for the same reasons.
     """
     alpha = _check_alpha(alpha)
     c_min = float(c_min)
     if not 0.0 < c_min < 1.0:
         raise ValueError(f"scaled expected length: c_min must be in (0, 1), got {c_min}")
     ratio = z_quantile(1.0 - 0.5 * alpha) / z_quantile(0.5 * (1.0 + c_min))
-    values = []
-    for gamma in _blocks(scenario):
-        zeta, weights, sizes = gauss.quadrature_rules(np.empty((gamma.shape[0], 0)))
-        mass = weights * phi(zeta)
-        factor = kernel.RULES[which].factor(gamma + zeta, scenario.rho, spec)
-        if not np.all(np.isfinite(factor)):
-            raise RuntimeError("length integrand produced a non-finite value")
-        values.append(ratio * _row_sums(mass, factor, sizes))
-    return _like(scenario, values)
+    out = np.empty(np.size(scenario.gamma))
+    for positions, gamma, weights, zeta, _, factor in _windows(
+            scenario, spec, which, panels, order):
+        ok = np.all(np.isfinite(factor), axis=1)
+        if not np.all(ok):
+            raise _failure(gamma, ok, "length integrand produced a non-finite value")
+        out[positions] = ratio * (1.0 + _row_sums(weights * phi(zeta), factor - 1.0))
+    return _like(scenario, out)
 
 
 def sel_sd(
@@ -503,9 +656,8 @@ def curve(
     finer grid reproduces the shared points bit for bit.  For the
     length quantities the normalizing c_min is computed once, from the
     matching rule's minimum coverage, and reused across the whole
-    grid.  The grid is one array call; if it fails, the points are
-    evaluated one at a time and the first failure is re-raised with
-    its gamma identified.
+    grid.  The grid is one array call, whose failures name the first
+    gamma they hit.
     """
     quantity = Quantity(quantity)
     alpha = _check_alpha(alpha)
@@ -517,23 +669,10 @@ def curve(
 
     rule = _RULE_BY_QUANTITY[quantity]
     if quantity in _COVERAGE_QUANTITIES:
-        cov = _COVERAGE_BY_RULE[rule]
-        evaluate = lambda g: cov(Scenario(g, rho), spec, alpha)
+        values = _COVERAGE_BY_RULE[rule](Scenario(grid, rho), spec, alpha)
     else:
         c_min = min_coverage(rho, spec, alpha, rule).c_min
-        sel = _SEL_BY_RULE[rule]
-        evaluate = lambda g: sel(Scenario(g, rho), spec, alpha, c_min)
-
-    failures = (ValueError, ArithmeticError, RuntimeError)
-    try:
-        values = evaluate(grid)
-    except failures:
-        for g in grid:
-            try:
-                evaluate(float(g))
-            except failures as exc:
-                raise RuntimeError(f"curve: evaluation failed at gamma = {g}: {exc}") from exc
-        raise
+        values = _SEL_BY_RULE[rule](Scenario(grid, rho), spec, alpha, c_min)
     return CurveTable(
         gammas=grid,
         values=values,

@@ -14,13 +14,17 @@ its derivative and r gives the standard deviation of the smoothed
 estimator on the standardized scale.  All kernel functions here are
 closed form: k, q and r_delta in the normal density and CDF, r in
 those and Owen's T function, which gives the probability of the
-square a pair of correlated normal draws must land in.
+square a pair of correlated normal draws must land in (its diagonal
+corners as gauss.bvn_orthant takes them).
 
 The four interval rules are defined here too, in one table, RULES:
 each rule is a center shift and a half-width factor, both functions of
 the standardized restriction statistic alone.  The point estimators
 below, the realized intervals, the coverage and length integrals and
-the Monte Carlo oracle all read their rule from that table.
+the Monte Carlo oracle all read their rule from that table.  Because
+shift and factor depend on the statistic alone, the integrals evaluate
+them once per node of a lattice in the statistic that every gamma
+shares, not once per (gamma, node).
 
 The error estimator sigma is treated as known throughout.
 """
@@ -35,7 +39,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import erfc, owens_t
 
-from .gauss import Phi, phi, z_quantile
+from .gauss import Phi, _bvn_diagonal, phi, z_quantile
 
 #: Largest correlation magnitude accepted by the smoothing analysis.
 #: The coverage and length functionals degenerate as |rho| -> 1; the
@@ -200,9 +204,10 @@ def _moments(g: np.ndarray, spec: PretestSpec) -> tuple[np.ndarray, np.ndarray, 
 
     On the standardized scale X = (Y - g) / sqrt(2) the square is
     [a, b]^2 with a = (-d - g) / sqrt(2), b = (d - g) / sqrt(2).  Its
-    probability comes from Owen's T (Owen 1956), using the diagonal
-    form Phi2(h, h) = Phi(h) - 2 T(h, 1/sqrt(3)), which the general
-    formula gets wrong at h = 0.  The first and cross moments over the
+    probability comes from Owen's T (Owen 1956): the diagonal corners
+    Phi2(h, h) = Phi(h) - 2 T(h, 1/sqrt(3)), which the general formula
+    gets wrong at h = 0, as gauss.bvn_orthant takes them, and the
+    general formula at (a, b).  The first and cross moments over the
     square come from the multivariate Stein identity
     E[X_i f(X)] = sum_j Sigma_ij E[d_j f(X)], whose boundary terms
     need the conditional law X2 | X1 = x ~ N(x/2, 3/4).  All normal
@@ -229,18 +234,19 @@ def _moments(g: np.ndarray, spec: PretestSpec) -> tuple[np.ndarray, np.ndarray, 
         # T(0, +-inf) = +-1/4 is the right limit there.
         slopes = np.array([a_hi / a, b_lo / b])
     ends = np.array([a, b])
-    t_a, t_b = owens_t(ends, 1.0 / _SQRT3)
+    off_a, off_b = _bvn_diagonal(ends, 0.5)
     t_ab, t_ba = owens_t(ends, slopes)
 
     p1 = cdf_b - cdf_a
     mean = g * p1 + _SQRT2 * (pdf_a - pdf_b)
     cov = p1 - (d / _SQRT2) * (pdf_a + pdf_b)
 
-    # P(X in [a, b]^2) from the bivariate CDF at the three corner types.
-    # Owen's formula subtracts 1/2 when a < 0 <= b (a < b always).
+    # P(X in [a, b]^2) from the bivariate CDF at the three corner types:
+    # Phi2(h, h) = Phi(h) - P(X1 > h, X2 <= h) on the diagonal, Owen's
+    # formula off it, which subtracts 1/2 when a < 0 <= b (a < b always).
     straddle = 0.5 * ((a < 0.0) & (b >= 0.0))
     corner_ab = 0.5 * (cdf_a + cdf_b) - t_ab - t_ba - straddle
-    p2 = (cdf_b - 2.0 * t_b) - 2.0 * corner_ab + (cdf_a - 2.0 * t_a)
+    p2 = (cdf_b - off_b) - 2.0 * corner_ab + (cdf_a - off_a)
     # P(X2 in [a, b] | X1 = x) and E[X2 1{X2 in [a, b]} | X1 = x] at x = a, b.
     cond_a = cdf_a_hi - cdf_a_lo
     cond_b = cdf_b_hi - cdf_b_lo
@@ -321,10 +327,6 @@ class IntervalRule(str, enum.Enum):
     FULL_MODEL = "full_model"
 
 
-def _no_jumps(spec: PretestSpec) -> tuple[float, ...]:
-    return ()
-
-
 @dataclass(frozen=True)
 class RuleGeometry:
     """One interval rule on the standardized scale.
@@ -339,15 +341,13 @@ class RuleGeometry:
     theta_hat - sigma * sqrt(v_theta) * shift(gamma_hat) with half width
     z * sigma * sqrt(v_theta) * factor(gamma_hat).  ``shift`` takes
     (h, rho, spec), and so does ``factor``; both return arrays shaped
-    like h.  ``jumps`` gives the h values
-    where either is discontinuous.  ``smoothed`` marks the rules whose
-    shift is the infinite-resample average of the PMS shift, the one a
-    finite resample average stands in for.
+    like h.  ``smoothed`` marks the rules whose shift is the
+    infinite-resample average of the PMS shift, the one a finite
+    resample average stands in for.
     """
 
     shift: Callable
     factor: Callable
-    jumps: Callable[[PretestSpec], tuple[float, ...]] = _no_jumps
     smoothed: bool = False
 
 
@@ -385,9 +385,7 @@ def _sd_delta_factor(h, rho: float, spec: PretestSpec):
 #: estimate and scale by the exact or delta-method sd factor.
 RULES = {
     IntervalRule.FULL_MODEL: RuleGeometry(shift=_no_shift, factor=_unit_factor),
-    IntervalRule.PMS: RuleGeometry(
-        shift=_pms_shift, factor=_pms_factor, jumps=lambda spec: (-spec.d, spec.d)
-    ),
+    IntervalRule.PMS: RuleGeometry(shift=_pms_shift, factor=_pms_factor),
     IntervalRule.SD: RuleGeometry(shift=_smoothed_shift, factor=_sd_factor, smoothed=True),
     IntervalRule.SD_DELTA: RuleGeometry(
         shift=_smoothed_shift, factor=_sd_delta_factor, smoothed=True

@@ -157,7 +157,8 @@ def smoothed_estimate_finite_B(
     the observed (theta_hat_std, gamma_hat) standing in for the true
     parameters, applies the discontinuous post-selection rule, and the
     B results are averaged.  As B grows this converges to the ideal
-    smoothed estimate at rate B^{-1/2}.
+    smoothed estimate at rate B^{-1/2}.  It is the one-row case of the
+    chunk path run uses.
     """
     B = int(B)
     if B < 1:
@@ -169,10 +170,10 @@ def smoothed_estimate_finite_B(
         )
     if not (math.isfinite(theta_hat_std) and math.isfinite(gamma_hat)):
         raise ValueError("smoothed_estimate_finite_B: estimates must be finite")
-    z = rng.standard_normal((2, B))
-    gamma_star = gamma_hat + z[0]
-    theta_star = theta_hat_std + rho * z[0] + math.sqrt(1.0 - rho * rho) * z[1]
-    return float(np.mean(theta_star - _PMS_SHIFT(gamma_star, rho, spec)))
+    center = _centers_finite_B(
+        np.array([float(theta_hat_std)]), np.array([float(gamma_hat)]), rho, spec, B, rng
+    )
+    return float(center[0])
 
 
 def _centers_finite_B(

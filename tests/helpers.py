@@ -1,10 +1,13 @@
 """Quadrature helpers that only the tests use.
 
-``integrate_against_shifted_normal`` composes an arbitrary integrand
-with the package's quadrature engine, ``kernel_moments`` gives the
-moments of the smoothing kernel under a shifted normal that r is built
-from, and ``m_k`` is the first of them.  The tests use all three as
-independent routes to quantities the package computes in closed form.
+``breakpoint_rule`` is a composite Gauss-Legendre rule with extra
+panel edges where an integrand jumps, ``integrate_against_shifted_normal``
+composes an arbitrary integrand with it, ``pms_coverage`` integrates the
+select-then-estimate interval's conditional coverage with it,
+``kernel_moments`` gives the moments of the smoothing kernel under a
+shifted normal that r is built from, and ``m_k`` is the first of them.
+The tests use them as independent routes to quantities the package
+computes in closed form or on its own lattice.
 """
 
 import math
@@ -12,9 +15,43 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from smoothci import gauss
-from smoothci.gauss import phi, quadrature_rule
-from smoothci.kernel import PretestSpec, k
+from smoothci import gauss, kernel
+from smoothci.gauss import Phi_interval, QuadratureRule, phi, quadrature_rule, z_quantile
+from smoothci.kernel import IntervalRule, PretestSpec, k
+
+
+def breakpoint_rule(
+    breakpoints: Iterable[float] = (),
+    *,
+    panels: int = gauss.DEFAULT_PANELS,
+    order: int = gauss.DEFAULT_ORDER,
+    half_width: float = gauss.HALF_WIDTH,
+) -> QuadratureRule:
+    """Composite Gauss-Legendre rule on [-half_width, half_width] whose
+    panels are also split at the given breakpoints.
+
+    Breakpoints outside the open support are dropped.  One within
+    rounding distance (1e-12 * half_width) of the last edge kept would
+    make a sliver panel whose nodes collide, so it is merged away; the
+    upper boundary always survives, replacing the last edge kept
+    before it if need be.
+    """
+    inside = [float(b) for b in breakpoints if -half_width < float(b) < half_width]
+    edges = sorted(list(np.linspace(-half_width, half_width, panels + 1)) + inside)
+    tol = 1e-12 * half_width
+    kept = [edges[0]]
+    for edge in edges[1:-1]:
+        if edge - kept[-1] > tol:
+            kept.append(edge)
+    if edges[-1] - kept[-1] <= tol:
+        kept.pop()
+    kept = np.array(kept + [edges[-1]])
+    base_x, base_w = np.polynomial.legendre.leggauss(order)
+    mid = 0.5 * (kept[:-1, None] + kept[1:, None])
+    half = 0.5 * (kept[1:, None] - kept[:-1, None])
+    return QuadratureRule(nodes=(mid + half * base_x).ravel(),
+                          weights=(half * base_w).ravel(),
+                          support=(-half_width, half_width))
 
 
 def integrate_against_shifted_normal(
@@ -49,9 +86,7 @@ def integrate_against_shifted_normal(
     if not math.isfinite(gamma):
         raise ValueError("integrate_against_shifted_normal: gamma must be finite")
     std_breaks = (float(b) - gamma for b in breakpoints)
-    rule = quadrature_rule(
-        panels=panels, order=order, half_width=half_width, breakpoints=std_breaks
-    )
+    rule = breakpoint_rule(std_breaks, panels=panels, order=order, half_width=half_width)
     z = rule.nodes
     try:
         vals = np.asarray(f(gamma + z), dtype=float)
@@ -64,6 +99,31 @@ def integrate_against_shifted_normal(
             "integrate_against_shifted_normal: integrand returned a non-finite value"
         )
     return float(np.dot(rule.weights, phi(z) * vals))
+
+
+def pms_coverage(
+    gamma: float,
+    rho: float,
+    spec: PretestSpec,
+    alpha: float,
+    *,
+    panels: int = gauss.DEFAULT_PANELS,
+    order: int = gauss.DEFAULT_ORDER,
+) -> float:
+    """Coverage of the select-then-estimate interval by quadrature.
+
+    Given the restriction statistic h the coverage event is a normal
+    interval probability (the estimate is N(rho (h - gamma), 1 - rho^2));
+    it jumps where the pretest flips, so the rule is split at h = +-d.
+    """
+    rule = breakpoint_rule((-spec.d - gamma, spec.d - gamma), panels=panels, order=order)
+    zeta = rule.nodes
+    h = gamma + zeta
+    geometry = kernel.RULES[IntervalRule.PMS]
+    shift = geometry.shift(h, rho, spec)
+    half = z_quantile(1.0 - 0.5 * alpha) * geometry.factor(h, rho, spec)
+    terms = Phi_interval(shift - half, shift + half, rho * zeta, 1.0 - rho * rho)
+    return float(np.dot(rule.weights * phi(zeta), terms))
 
 
 def kernel_moments(

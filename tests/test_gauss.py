@@ -14,12 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import integrate_against_shifted_normal
+from helpers import breakpoint_rule, integrate_against_shifted_normal
 from smoothci import gauss
 from smoothci.gauss import (
     Phi,
     Phi_interval,
     QuadratureRule,
+    bvn_orthant,
     phi,
     quadrature_rule,
     z_quantile,
@@ -207,14 +208,16 @@ class TestQuadratureRule:
         assert mass == pytest.approx(Phi(hi) - Phi(lo), abs=1e-12)
 
     def test_nodes_inside_support_and_sorted(self):
-        rule = quadrature_rule(breakpoints=(-0.33, 2.4))
+        rule = breakpoint_rule((-0.33, 2.4))
         assert np.all(np.diff(rule.nodes) > 0)
         assert np.all(rule.weights > 0)
         lo, hi = rule.support
         assert rule.nodes[0] > lo and rule.nodes[-1] < hi
 
     def test_breakpoints_outside_support_ignored(self):
-        assert quadrature_rule(breakpoints=(25.0,)) is quadrature_rule()
+        plain = quadrature_rule()
+        assert np.array_equal(breakpoint_rule((25.0,)).nodes, plain.nodes)
+        assert np.array_equal(breakpoint_rule((25.0,)).weights, plain.weights)
 
     def test_rules_are_cached_and_immutable(self):
         rule = quadrature_rule()
@@ -239,33 +242,83 @@ class TestQuadratureRule:
         # middle one is within tol of x and goes; the last is within tol
         # of the middle one but not of x, and stays.
         x = 0.123
-        assert np.array_equal(quadrature_rule(breakpoints=(x, x + 5e-12, x + 1e-11)).nodes,
-                              quadrature_rule(breakpoints=(x, x + 1e-11)).nodes)
+        assert np.array_equal(breakpoint_rule((x, x + 5e-12, x + 1e-11)).nodes,
+                              breakpoint_rule((x, x + 1e-11)).nodes)
         # A breakpoint within tol of an edge goes, at either end too.
         edge = np.linspace(-8.0, 8.0, 41)[7]
         for bp in (edge, edge + 1e-12, edge - 1e-12, 8.0 - 1e-13, -8.0 + 1e-13):
-            assert quadrature_rule(breakpoints=(bp,)).nodes.size == 400
+            assert breakpoint_rule((bp,)).nodes.size == 400
 
-    def test_block_rows_equal_single_rules(self):
-        rng = np.random.default_rng(3)
-        edges = np.linspace(-8.0, 8.0, 41)
-        bps = np.concatenate([
-            rng.uniform(-10.0, 10.0, (40, 2)),
-            edges[rng.integers(0, 41, (10, 2))] + rng.choice([0.0, 1e-12, -3e-12], (10, 2)),
-            [[9.0, -9.0], [8.0, -8.0], [0.5, 0.5], [0.5, 0.5 + 5e-12]],
-        ])
-        for panels, order in ((40, 10), (7, 3)):
-            nodes, weights, sizes = gauss.quadrature_rules(bps, panels=panels, order=order)
-            assert nodes.shape == weights.shape == (len(bps), (panels + 2) * order)
-            for row, n, bp in zip(range(len(bps)), sizes, bps):
-                rule = quadrature_rule(panels=panels, order=order, breakpoints=bp)
-                assert np.array_equal(nodes[row, :n], rule.nodes)
-                assert np.array_equal(weights[row, :n], rule.weights)
-                assert np.all(weights[row, n:] == 0.0)
+    def test_one_panel_rule_is_the_default_rule_translated(self):
+        # The integrals' lattice lays the one-panel rule end to end; at
+        # the default width that reproduces the default rule's weights.
+        one = quadrature_rule(panels=1, half_width=0.2)
         plain = quadrature_rule()
-        nodes, weights, sizes = gauss.quadrature_rules(np.empty((3, 0)))
-        assert np.all(nodes == plain.nodes) and np.all(weights == plain.weights)
-        assert list(sizes) == [plain.nodes.size] * 3
+        assert np.allclose(np.tile(one.weights, 40), plain.weights, rtol=0, atol=1e-15)
+        centers = np.linspace(-7.8, 7.8, 40)
+        assert np.allclose((centers[:, None] + one.nodes).ravel(), plain.nodes,
+                           rtol=0, atol=1e-14)
+
+
+class TestBvnOrthant:
+    """P(X > h, Y <= k) against a quadrature of its own defining integral.
+
+    Given X = x, Y is N(rho x, 1 - rho^2), so the orthant is the
+    integral over x > h of phi(x) Phi((k - rho x) / s).  The reference
+    integrates that on a 1280 x 20 rule split at h, against the normal
+    density centered at 0 for the bulk and at h (with the density
+    ratio folded into the integrand) for the tail checks.
+    """
+
+    @staticmethod
+    def reference(h, k, rho, center=0.0):
+        s = math.sqrt(1.0 - rho * rho)
+        f = lambda x: ((x > h) * Phi((k - rho * x) / s)
+                       * np.exp(center * (0.5 * center - x)))
+        return integrate_against_shifted_normal(f, center, breakpoints=(h,),
+                                                panels=1280, order=20)
+
+    CORNERS = [(0.0, 0.0), (0.0, 1.3), (0.0, -1.3), (1.3, 0.0), (-1.3, 0.0),
+               (0.7, 0.7), (-2.2, -2.2), (1.5, -0.4), (-0.8, 2.5), (-1.1, -2.9),
+               (2.4, 1.9), (3.0, -3.0)]
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, -0.5, 0.9, -0.95, 0.999, -0.999])
+    def test_against_quadrature(self, rho):
+        h = np.array([c[0] for c in self.CORNERS])
+        k = np.array([c[1] for c in self.CORNERS])
+        got = bvn_orthant(h, k, rho)
+        for (hc, kc), g in zip(self.CORNERS, got):
+            assert g == pytest.approx(self.reference(hc, kc, rho), abs=1e-14), (hc, kc)
+            assert bvn_orthant(hc, kc, rho) == g
+
+    def test_origin_is_the_diagonal_limit(self):
+        for rho in (-0.9, -0.5, 0.0, 0.5, 0.9):
+            want = 0.25 - math.asin(rho) / (2.0 * math.pi)
+            assert bvn_orthant(0.0, 0.0, rho) == pytest.approx(want, abs=1e-16)
+            # The same corner inside a mixed array.
+            assert bvn_orthant(np.array([0.0, 1.0]), np.array([0.0, 2.0]), rho)[0] == \
+                pytest.approx(want, abs=1e-16)
+
+    def test_far_tail_keeps_its_relative_accuracy(self):
+        # Discordant corners far out: the mass is far below the 1e-16
+        # rounding error of a difference of O(1) terms, which would
+        # leave nothing of it.  What cancellation is left is between
+        # terms of the size of Q(h), so some digits go, not all.
+        for h, k, rho in ((5.0, 1.96, 0.9), (6.0, -1.0, 0.7), (4.5, 4.0, 0.99),
+                          (6.0, 2.0, 0.95), (4.0, -2.0, 0.8)):
+            want = self.reference(h, k, rho, center=h)
+            assert 0.0 < want < 1e-9
+            assert bvn_orthant(h, k, rho) == pytest.approx(want, rel=1e-5), (h, k, rho)
+
+    def test_beyond_the_double_range_is_zero(self):
+        assert bvn_orthant(3.94, 1.96, 0.999) == 0.0
+        assert bvn_orthant(3.94, -1.96, 0.999) == 0.0
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            bvn_orthant(0.0, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            bvn_orthant(math.inf, 0.0, 0.5)
 
 
 class TestIntegrateAgainstShiftedNormal:

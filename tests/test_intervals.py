@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import smoothci.intervals as intervals_mod
+from helpers import breakpoint_rule, pms_coverage
 from smoothci import gauss, kernel
 from smoothci.gauss import z_quantile
 from smoothci.intervals import (
@@ -188,8 +189,9 @@ class TestCoverage:
         assert coverage_sd_delta(sc, SPEC10, ALPHA) < 0.95
 
     def test_doubling_panels_changes_nothing_material(self):
+        # coverage_pms is closed form and takes no quadrature knobs.
         sc = Scenario(1.0, 0.7)
-        for fn in (coverage_sd, coverage_sd_delta, coverage_pms):
+        for fn in (coverage_sd, coverage_sd_delta):
             a = fn(sc, SPEC10, ALPHA)
             b = fn(sc, SPEC10, ALPHA, panels=80)
             assert a == pytest.approx(b, abs=1e-9)
@@ -222,7 +224,8 @@ class TestBatchedGammas:
         # 81 points span three blocks; the edge cases sit in the middle.
         grid = list(np.arange(0.0, 12.01, 0.15))
         grid[40:40] = [0.4] + _edge_gammas(spec, 24) + _edge_gammas(spec, 20)
-        assert len(grid) > 2 * intervals_mod.BLOCK_GAMMAS
+        # Windows of at least 41 panels of 10 nodes.
+        assert len(grid) > 2 * (intervals_mod.BLOCK_NODES // 410)
         return np.array(grid)
 
     @pytest.mark.parametrize("rho", [0.0, 0.7, -0.999])
@@ -245,26 +248,86 @@ class TestBatchedGammas:
             assert [float(v) for v in batched] == scalar, sel.__name__
 
     def test_refined_rule(self):
+        # coverage_pms is closed form and takes no quadrature knobs.
         spec = PretestSpec.from_cutoff(2.0)
         grid = self.gammas(spec)
-        for cov in (coverage_sd, coverage_sd_delta, coverage_pms):
+        for cov in (coverage_sd, coverage_sd_delta):
             batched = cov(Scenario(grid, 0.7), spec, ALPHA, panels=23, order=7)
             scalar = [cov(Scenario(float(g), 0.7), spec, ALPHA, panels=23, order=7)
                       for g in grid]
             assert [float(v) for v in batched] == scalar, cov.__name__
 
     def test_edge_gammas_reach_the_merge(self):
-        # At d = 2 both breakpoints +-d - gamma sit near panel edges for
-        # these gammas: within 1e-12 they merge into the edges and
-        # leave the plain rule, 2e-11 away both split a panel.
+        # At d = 2 both breakpoints +-d - gamma of the PMS oracle's rule
+        # sit near panel edges for these gammas: within 1e-12 they merge
+        # into the edges and leave the plain rule, 2e-11 away both split
+        # a panel.
         spec = PretestSpec.from_cutoff(2.0)
         plain = gauss.DEFAULT_PANELS * gauss.DEFAULT_ORDER
         *near, past, before = _edge_gammas(spec, 24)
         for g, size in [(0.4, plain)] + [(g, plain) for g in near] + [
             (past, plain + 20), (before, plain + 20)
         ]:
-            rule = gauss.quadrature_rule(breakpoints=[-spec.d - g, spec.d - g])
+            rule = breakpoint_rule([-spec.d - g, spec.d - g])
             assert rule.nodes.size == size, g
+
+    @pytest.mark.parametrize("rho", [0.7, 0.999])
+    def test_gammas_far_apart_take_several_lattice_passes(self, rho):
+        # Windows that do not fit in one lattice span are integrated in
+        # passes of their own; values still equal the scalar calls, and
+        # the order of the gammas does not matter.
+        span = intervals_mod.LATTICE_NODES // gauss.DEFAULT_ORDER
+        width, _ = intervals_mod._panel_width(rho, SPEC10, gauss.DEFAULT_PANELS)
+        grid = np.array([3.0 * span * width, 0.0, 0.5, 1.5 * span * width, 0.25])
+        for fn, args in ((coverage_sd_delta, ()), (sel_sd, (0.9,))):
+            batched = fn(Scenario(grid, rho), SPEC10, ALPHA, *args)
+            scalar = [fn(Scenario(float(g), rho), SPEC10, ALPHA, *args) for g in grid]
+            assert [float(v) for v in batched] == scalar, fn.__name__
+
+
+class TestHighRhoAccuracy:
+    """Up to RHO_MAX the default rule stays within 1e-12 of a refined one.
+
+    The SD integrals are checked against a refined 1280 x 20 lattice,
+    the closed-form PMS coverage against the breakpoint quadrature of
+    tests/helpers.py on the same refined rule, gamma = +-d included.
+    """
+
+    SPECS = (SPEC10, PretestSpec.from_cutoff(2.0), PretestSpec.from_cutoff(10.0))
+    REFINED = {"panels": 1280, "order": 20}
+
+    @staticmethod
+    def gammas(spec):
+        return np.concatenate([np.arange(0.0, 12.01, 0.25), [spec.d, -spec.d]])
+
+    @pytest.mark.parametrize("rho", [0.99, 0.999, -0.999])
+    @pytest.mark.parametrize("spec", SPECS, ids=["size0.1", "d2", "d10"])
+    def test_sd_rules_against_a_refined_lattice(self, spec, rho):
+        grid = Scenario(self.gammas(spec), rho)
+        for cov in (coverage_sd, coverage_sd_delta):
+            got, want = cov(grid, spec, ALPHA), cov(grid, spec, ALPHA, **self.REFINED)
+            assert np.max(np.abs(got - want)) < 1e-12, cov.__name__
+        for rule in (IntervalRule.SD, IntervalRule.SD_DELTA):
+            got = intervals_mod._scaled_length(grid, spec, ALPHA, 0.9, rule)
+            want = intervals_mod._scaled_length(grid, spec, ALPHA, 0.9, rule, **self.REFINED)
+            assert np.max(np.abs(got - want)) < 1e-12, rule
+
+    @pytest.mark.parametrize("rho", [0.99, 0.999, -0.999])
+    @pytest.mark.parametrize("spec", SPECS, ids=["size0.1", "d2", "d10"])
+    def test_pms_closed_form_against_breakpoint_quadrature(self, spec, rho):
+        grid = self.gammas(spec)
+        got = coverage_pms(Scenario(grid, rho), spec, ALPHA)
+        for g, v in zip(grid, got):
+            want = pms_coverage(float(g), rho, spec, ALPHA, **self.REFINED)
+            assert v == pytest.approx(want, abs=1e-12), g
+
+    def test_pms_underflow_is_exactly_zero(self):
+        # rho = 0.999, d = 6: near gamma = 2 the true coverage is below
+        # the smallest double, far below the rounding error of
+        # (2 Phi(z) - 1) minus a rectangle probability.
+        cp = coverage_pms(Scenario(np.array([1.9, 2.0, 2.1]), 0.999),
+                          PretestSpec.from_cutoff(6.0), ALPHA)
+        assert np.all(cp == 0.0)
 
 
 class TestMinCoverage:
@@ -307,6 +370,27 @@ class TestMinCoverage:
         rep = min_coverage(0.7, PretestSpec.from_cutoff(9.0), ALPHA, IntervalRule.SD_DELTA)
         assert rep.c_min == pytest.approx(0.0052528991147374055, abs=1e-9)
         assert rep.argmin_gamma == pytest.approx(4.904, abs=1e-3)
+
+    @pytest.mark.parametrize("rule", [IntervalRule.SD, IntervalRule.SD_DELTA,
+                                      IntervalRule.PMS])
+    def test_golden_section_values_equal_fresh_scalar_calls(self, monkeypatch, rule):
+        # The refinement reads windows of the grid's lattice; a scalar
+        # call on an empty cache builds its own, with the same bits.
+        seen = []
+        cov = intervals_mod._COVERAGE_BY_RULE[rule]
+
+        def recording(scenario, spec, alpha):
+            value = cov(scenario, spec, alpha)
+            if np.ndim(scenario.gamma) == 0:
+                seen.append((scenario.gamma, value))
+            return value
+
+        monkeypatch.setitem(intervals_mod._COVERAGE_BY_RULE, rule, recording)
+        rep = min_coverage(0.999, SPEC10, ALPHA, rule)
+        assert len(seen) > 10 and rep.c_min == min(v for _, v in seen)
+        for g, v in seen:
+            intervals_mod._lattice.cache_clear()
+            assert cov(Scenario(g, 0.999), SPEC10, ALPHA) == v, g
 
     def test_full_model_has_no_curve(self):
         with pytest.raises(ValueError):
@@ -402,16 +486,15 @@ class TestCurve:
         assert tab.pretest is SPEC10
 
     def test_fine_pms_curve_keeps_the_rule_cache_bounded(self):
-        # Each PMS gamma needs a rule with its own breakpoints.  The
-        # coverage integral builds them in blocks and caches none: the
-        # only cached rule is the plain one.
+        # The PMS coverage is closed form: a fine curve builds no
+        # quadrature rule at all.
         gauss._rule_cached.cache_clear()
         tab = curve(Quantity.CP_PMS, 0.7, SPEC10, ALPHA, gamma_max=3.0, step=0.001)
-        assert gauss._rule_cached.cache_info().currsize == 1
-        # A caller that does sweep breakpoints through quadrature_rule
-        # still finds the cache bounded.
-        for g in tab.gammas[: gauss._RULE_CACHE_SIZE + 50]:
-            gauss.quadrature_rule(breakpoints=[-SPEC10.d - g, SPEC10.d - g])
+        assert gauss._rule_cached.cache_info().currsize == 0
+        # A caller that sweeps rule shapes through quadrature_rule, as
+        # the SD integrals do over correlations, finds the cache bounded.
+        for n in range(gauss._RULE_CACHE_SIZE + 50):
+            gauss.quadrature_rule(panels=1, half_width=0.01 * (n + 1))
         info = gauss._rule_cached.cache_info()
         assert info.misses > gauss._RULE_CACHE_SIZE
         assert info.currsize <= gauss._RULE_CACHE_SIZE
@@ -429,37 +512,31 @@ class TestCurve:
         with pytest.raises(ValueError):
             curve(Quantity.CP, 0.0, SPEC10, ALPHA, gamma_max=0.1, step=0.5)
 
-    def test_failure_names_the_offending_gamma(self, monkeypatch):
-        def explode(scenario, spec, alpha, **kw):
-            if scenario.gamma >= 0.4:
-                raise ValueError("synthetic failure")
-            return 0.95
-
-        monkeypatch.setitem(intervals_mod._COVERAGE_BY_RULE, IntervalRule.SD, explode)
-        with pytest.raises(RuntimeError, match="gamma = 0.4"):
-            curve(Quantity.CP, 0.0, SPEC10, ALPHA, gamma_max=1.0, step=0.2)
-
     @pytest.mark.parametrize("quantity, message", [
         (Quantity.CP_DELTA, "NaN endpoint"),
         (Quantity.SEL_DELTA, "length integrand produced a non-finite value"),
     ])
     def test_nan_factor_names_its_gamma(self, monkeypatch, quantity, message):
-        # The factor turns NaN on the one row of a block whose nodes
-        # start at bad + z0; off the minimizer's 0.05 grid, so only the
-        # curve meets it.
+        # The factor turns NaN on the lattice panels past h = 8.4.  At
+        # rho = 0.7 the panels are 0.4 wide and a window spans 41 of
+        # them from floor((gamma - 8) / 0.4): gamma 0 stops at 8.4, and
+        # 0.625 is the first gamma of the curve whose window reaches
+        # past it.  The length curve's normalizer is stubbed, so the
+        # minimizer, whose grid reaches it too, does not meet it first.
         bad = 0.625
-        z0 = gauss.quadrature_rule().nodes[0]
         geometry = kernel.RULES[IntervalRule.SD_DELTA]
 
         def nan_factor(h, rho, spec):
             out = np.array(geometry.factor(h, rho, spec), dtype=float)
-            out[np.abs(h[..., :1] - z0 - bad) < 1e-9 + np.zeros_like(out)] = math.nan
+            out[h > 8.4] = math.nan
             return out
 
         monkeypatch.setitem(kernel.RULES, IntervalRule.SD_DELTA,
                             dataclasses.replace(geometry, factor=nan_factor))
+        monkeypatch.setattr(intervals_mod, "min_coverage", lambda *args: MinCoverageReport(
+            c_min=0.9, argmin_gamma=1.0, search_grid_step=0.05, refinement_tolerance=1e-7))
         with pytest.raises(RuntimeError, match=f"gamma = {bad}: .*{message}"):
-            curve(quantity, 0.7, SPEC10, ALPHA, gamma_max=2.0, step=0.125)
+            curve(quantity, 0.7, SPEC10, ALPHA, gamma_max=2.0, step=0.625)
 
 
 class TestCurveTable:

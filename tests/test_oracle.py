@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+import smoothci.kernel as kernel_mod
 from smoothci.gauss import z_quantile
 from smoothci.intervals import IntervalRule, Scenario, build_interval, coverage_pms, coverage_sd
 from smoothci.kernel import FittedModel, PretestSpec, k, r, smoothed_estimate
@@ -80,6 +81,26 @@ class TestFiniteB:
             smoothed_estimate_finite_B(0.0, 0.0, 0.9999, SPEC10, 10, rng)
         with pytest.raises(ValueError):
             smoothed_estimate_finite_B(math.nan, 0.0, 0.5, SPEC10, 10, rng)
+
+    def test_is_the_direct_average_of_b_resamples(self):
+        # The one-row call of the chunk path against the plain average
+        # of B resampled select-then-estimate values, drawn as (2, B)
+        # from the same stream: equal bit for bit, and the stream ends
+        # in the same place.
+        pick = np.random.default_rng(17)
+        pms_shift = kernel_mod.RULES[IntervalRule.PMS].shift
+        for i in range(1000):
+            B = (1, 2, 4096, 4097)[i] if i < 4 else int(pick.integers(1, 4098))
+            seed = int(pick.integers(0, 2**32))
+            theta, gamma, rho = pick.normal(), 3.0 * pick.normal(), pick.uniform(-0.999, 0.999)
+            rng = np.random.Generator(np.random.Philox(seed))
+            got = smoothed_estimate_finite_B(theta, gamma, rho, SPEC10, B, rng)
+            ref = np.random.Generator(np.random.Philox(seed))
+            z = ref.standard_normal((2, B))
+            star = theta + rho * z[0] + math.sqrt(1.0 - rho * rho) * z[1]
+            want = float(np.mean(star - pms_shift(gamma + z[0], rho, SPEC10)))
+            assert got == want, (seed, B)
+            assert rng.standard_normal() == ref.standard_normal()
 
     def test_rho_zero_reduces_to_mean_resample(self):
         # no correlation means no adjustment: the average converges to

@@ -1,0 +1,180 @@
+"""Compare the benchmark on two versions of the package, in alternating pairs.
+
+    python3 tools/bench_compare.py --parent REV --change REV \
+        --workload exact_sd:10 --workload delta_pms:3 --workload monte_carlo:3 \
+        --seed 6001 --out BENCH_6.json
+
+Each side is exported into its own temporary directory (``git archive``
+of the revision; ``--change WORKTREE`` copies the working tree's tracked
+and untracked, not ignored, files instead), and every run executes the
+command BENCHMARK.json gives, from that directory, for its
+``run_seconds``.  Pair i of a workload runs both sides on seed
+``--seed + i``; even pairs run the parent first, odd pairs the change.
+The output file records the machine, both versions, every run, and per
+workload and end-to-end metric the median and quartiles of each side,
+the pairs the change won (ties count for neither side) and whether the
+gain rule holds: at least nine tenths of the pairs won and the medians
+farther apart than the parent's quartiles.  It also records each
+side's ``correct`` and share of failed operations.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import pathlib
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, stdout=subprocess.PIPE, check=True).stdout
+
+
+def export(rev: str, into: pathlib.Path) -> dict:
+    """Write version ``rev`` of the repository into ``into``; describe it."""
+    into.mkdir(parents=True)
+    if rev == "WORKTREE":
+        names = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+        for name in filter(None, names.decode().split("\0")):
+            source = ROOT / name
+            if source.is_file():
+                (into / name).parent.mkdir(parents=True, exist_ok=True)
+                shutil.copy2(source, into / name)
+        base = git("rev-parse", "HEAD").decode().strip()
+        dirty = git("status", "--porcelain", "--untracked-files=all").decode().splitlines()
+        return {"rev": "WORKTREE", "base": base, "changed_files": len(dirty)}
+    sha = git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
+    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", sha))) as tar:
+        tar.extractall(into)
+    return {"rev": rev, "commit": sha}
+
+
+def run_once(side: pathlib.Path, command: list[str], workload: str, seed: int,
+             seconds: float) -> dict:
+    argv = [*command, "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    if argv[0] in ("python", "python3"):
+        argv[0] = sys.executable
+    done = subprocess.run(argv, cwd=side, capture_output=True, text=True,
+                          timeout=20 * seconds + 600)
+    if done.returncode != 0:
+        raise RuntimeError(f"{workload} seed {seed} in {side.name} exited {done.returncode}:"
+                           f"\n{done.stderr[-2000:]}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def quartiles(values: list[float]) -> dict:
+    median = statistics.median(values)
+    if len(values) < 2:
+        return {"median": median, "q1": median, "q3": median}
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
+    """Per metric: each side's median and quartiles, pairs won, the gain rule."""
+    out = {}
+    for metric in metrics:
+        name, lower = metric["name"], metric["better"] == "lower"
+        parent = [p["parent"]["metrics"][name]["value"] for p in pairs]
+        change = [p["change"]["metrics"][name]["value"] for p in pairs]
+        won = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+        lost = sum((c > p) if lower else (c < p) for p, c in zip(parent, change))
+        row = {"unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
+               "parent": quartiles(parent), "change": quartiles(change),
+               "pairs": len(pairs), "pairs_won": won, "pairs_lost": lost}
+        gap = row["change"]["median"] - row["parent"]["median"]
+        spread = row["parent"]["q3"] - row["parent"]["q1"]
+        row["median_change"] = gap / row["parent"]["median"] if row["parent"]["median"] else None
+        row["gain_rule_holds"] = (won >= 0.9 * len(pairs)
+                                  and (-gap if lower else gap) > spread)
+        worse = gap if lower else -gap
+        row["within_bound"] = worse <= metric["bound"] * abs(row["parent"]["median"])
+        out[name] = row
+    return out
+
+
+def side_outcome(runs: list[dict]) -> dict:
+    attempted = sum(r["attempted"] for r in runs)
+    failed = sum(r["failed"] for r in runs)
+    return {"correct": all(r["correct"] for r in runs), "attempted": attempted,
+            "failed": failed, "failed_share": failed / attempted if attempted else None}
+
+
+def versions() -> dict:
+    import numpy
+    import scipy
+
+    return {"python": platform.python_version(), "numpy": numpy.__version__,
+            "scipy": scipy.__version__}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--parent", default="HEAD~1", help="revision of the parent side")
+    parser.add_argument("--change", default="HEAD",
+                        help="revision of the change side, or WORKTREE")
+    parser.add_argument("--workload", action="append", required=True,
+                        help="NAME:PAIRS, repeatable")
+    parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
+    parser.add_argument("--out", required=True, help="output JSON file")
+    args = parser.parse_args(argv)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    plan = []
+    for item in args.workload:
+        name, _, count = item.partition(":")
+        plan.append((name, int(count or 1)))
+
+    with tempfile.TemporaryDirectory(prefix="bench_compare_") as tmp:
+        sides = {"parent": pathlib.Path(tmp) / "parent", "change": pathlib.Path(tmp) / "change"}
+        described = {side: export(rev, sides[side])
+                     for side, rev in (("parent", args.parent), ("change", args.change))}
+        workloads = {}
+        result = {
+            "machine": {"platform": platform.platform(), "machine": platform.machine(),
+                        "processor": platform.processor(), "cpu_count": os.cpu_count()},
+            "versions": versions(),
+            "parent": described["parent"],
+            "change": described["change"],
+            "run_seconds": spec["run_seconds"],
+            "workloads": workloads,
+        }
+        for name, count in plan:
+            pairs = []
+            for i in range(count):
+                seed = args.seed + i
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                pair = {"seed": seed, "first": order[0]}
+                for side in order:
+                    pair[side] = run_once(sides[side], spec["command"], name, seed,
+                                          spec["run_seconds"])
+                    print(f"{name} pair {i} seed {seed} {side}: "
+                          f"correct={pair[side]['correct']} failed={pair[side]['failed']}",
+                          file=sys.stderr, flush=True)
+                pairs.append(pair)
+            workloads[name] = {
+                "metrics": summarize(pairs, spec["end_to_end"]),
+                "outcome": {side: side_outcome([p[side] for p in pairs])
+                            for side in ("parent", "change")},
+                "runs": pairs,
+            }
+            # Written after every workload, so a long comparison that is
+            # cut short keeps the workloads it finished.
+            pathlib.Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
