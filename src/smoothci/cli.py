@@ -19,6 +19,7 @@ verification failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from dataclasses import dataclass
@@ -71,8 +72,9 @@ class _Parser(argparse.ArgumentParser):
 class RunConfig:
     """Validated flag set for one invocation; commands read only this.
 
-    The field defaults are the flag defaults: the parser reads them,
-    and they stand for flags a subcommand does not have.
+    The field defaults are the flag defaults: every subcommand's
+    parser starts from them, so they stand for the flags a subcommand
+    does not have, and its own flags' defaults override them.
     """
 
     command: str
@@ -102,6 +104,13 @@ def _fmt(x: float) -> str:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="smoothci", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = {field.name: field.default for field in dataclasses.fields(RunConfig)
+                if field.default is not dataclasses.MISSING}
+
+    def add_command(name: str, summary: str) -> _Parser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(**defaults)
+        return p
 
     def add_pretest(p: _Parser) -> None:
         group = p.add_mutually_exclusive_group()
@@ -117,7 +126,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--gamma-max", type=float, default=RunConfig.gamma_max)
         p.add_argument("--step", type=float, default=RunConfig.step)
 
-    p_curve = sub.add_parser("curve", help="tabulate one quantity over a gamma grid")
+    p_curve = add_command("curve", "tabulate one quantity over a gamma grid")
     p_curve.add_argument("--quantity", required=True,
                          choices=[q.value for q in Quantity])
     p_curve.add_argument("--rho", type=float, required=True)
@@ -125,21 +134,21 @@ def _build_parser() -> _Parser:
     add_grid(p_curve)
     p_curve.add_argument("--out", default=None, help="output CSV path (default stdout)")
 
-    p_fig = sub.add_parser("figure1", help="emit the two-panel headline dataset")
+    p_fig = add_command("figure1", "emit the two-panel headline dataset")
     p_fig.add_argument("--rho", type=float, default=0.7)
     add_pretest(p_fig)
     add_grid(p_fig)
     p_fig.add_argument("--out", default="figure1",
                        help="output prefix; writes PREFIX_top.csv and PREFIX_bottom.csv")
 
-    p_cmin = sub.add_parser("cmin", help="minimum coverage report per rule")
+    p_cmin = add_command("cmin", "minimum coverage report per rule")
     p_cmin.add_argument("--rho", type=float, required=True)
     add_pretest(p_cmin)
     p_cmin.add_argument("--rules", default="sd,sd_delta,pms",
                         help="comma-separated rules (default %(default)s)")
     p_cmin.add_argument("--out", default=None, help="optional CSV path")
 
-    p_fit = sub.add_parser("fit", help="fit CSV data and print the four intervals")
+    p_fit = add_command("fit", "fit CSV data and print the four intervals")
     p_fit.add_argument("--design", required=True)
     p_fit.add_argument("--response", required=True)
     p_fit.add_argument("--theta-vec", required=True)
@@ -149,9 +158,10 @@ def _build_parser() -> _Parser:
                        help="input CSV files carry a header row")
     add_pretest(p_fit)
 
-    p_verify = sub.add_parser("verify", help="Monte Carlo vs analytic agreement suite")
+    p_verify = add_command("verify", "Monte Carlo vs analytic agreement suite")
     add_pretest(p_verify)
-    p_verify.add_argument("--reps", type=int, default=RunConfig.replications)
+    p_verify.add_argument("--reps", type=int, dest="replications", metavar="REPS",
+                          default=RunConfig.replications)
     p_verify.add_argument("--seed", type=int, default=RunConfig.seed)
     p_verify.add_argument("--tolerance", type=float, default=RunConfig.tolerance,
                           help="|z| threshold for each comparison (default %(default)g)")
@@ -174,9 +184,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if not 0.0 < alpha < 1.0:
         raise CLIError(f"--alpha must be in (0, 1), got {alpha}")
 
-    rho = float(getattr(args, "rho", RunConfig.rho))
-    gamma_max = float(getattr(args, "gamma_max", RunConfig.gamma_max))
-    step = float(getattr(args, "step", RunConfig.step))
+    rho = float(args.rho)
+    gamma_max = float(args.gamma_max)
+    step = float(args.step)
     if args.command in ("curve", "figure1"):
         if step <= 0.0:
             raise CLIError(f"--step must be positive, got {step}")
@@ -188,12 +198,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         except ValueError as exc:
             raise CLIError(f"--rho: {exc}") from exc
 
-    quantity = None
-    if getattr(args, "quantity", None) is not None:
-        quantity = Quantity(args.quantity)
+    quantity = None if args.quantity is None else Quantity(args.quantity)
 
     rules: tuple[IntervalRule, ...] = ()
-    if getattr(args, "rules", None):
+    if args.rules:
         try:
             rules = tuple(IntervalRule(tok.strip()) for tok in args.rules.split(",") if tok.strip())
         except ValueError as exc:
@@ -204,17 +212,17 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             if rule is IntervalRule.FULL_MODEL:
                 raise CLIError("--rules: full_model has constant coverage, nothing to minimize")
 
-    replications = int(getattr(args, "reps", RunConfig.replications))
+    replications = int(args.replications)
     if args.command == "verify" and replications < 1:
         raise CLIError(f"--reps must be >= 1, got {replications}")
-    seed = int(getattr(args, "seed", RunConfig.seed))
+    seed = int(args.seed)
     if not 0 <= seed < 2**64:
         raise CLIError("--seed must be a nonnegative 64-bit integer")
-    tolerance = float(getattr(args, "tolerance", RunConfig.tolerance))
+    tolerance = float(args.tolerance)
     if args.command == "verify" and not tolerance > 0.0:
         raise CLIError(f"--tolerance must be positive, got {tolerance}")
 
-    sigma = getattr(args, "sigma", RunConfig.sigma)
+    sigma = args.sigma
     if args.command == "fit" and not (math.isfinite(sigma) and sigma > 0.0):
         raise CLIError(f"--sigma must be positive, got {sigma}")
 
@@ -230,13 +238,13 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         replications=replications,
         seed=seed,
         tolerance=tolerance,
-        design=getattr(args, "design", None),
-        response=getattr(args, "response", None),
-        theta_vec=getattr(args, "theta_vec", None),
-        tau_vec=getattr(args, "tau_vec", None),
+        design=args.design,
+        response=args.response,
+        theta_vec=args.theta_vec,
+        tau_vec=args.tau_vec,
         sigma=float(sigma),
-        header=bool(getattr(args, "header", False)),
-        out=getattr(args, "out", None),
+        header=bool(args.header),
+        out=args.out,
     )
 
 

@@ -12,10 +12,12 @@ Four interval constructions share one centering-plus-half-width shape:
 * ``SD_DELTA``: same center, scale factor r_delta from the local slope
   of the smoothing kernel instead of the exact moments.
 
-Each rule is one entry of ``kernel.RULES``: a center shift and a
-half-width factor, both functions of the standardized restriction
-statistic h.  build_interval and the two integrals below read the rule
-from there and nowhere else.
+Each rule is one entry of ``kernel.RULES``: one function of the
+standardized restriction statistic h that returns the center shift
+and the half-width factor together.  build_interval and the two
+integrals below read the rule from there and nowhere else, with one
+call per interval or per span of the lattice, so work the two parts
+share is done once.
 
 Coverage probabilities and scaled expected lengths depend on the
 unknown true parameters only through the standardized restriction
@@ -26,9 +28,9 @@ length are one-dimensional integrals in h against the N(gamma, 1)
 density, on a lattice of Gauss-Legendre panels anchored at h = 0 that
 does not depend on gamma: each gamma reads the window of whole panels
 covering [gamma - 8, gamma + 8].  The rule's shift and factor depend
-on h alone, so they are evaluated once per lattice node per call, not
-once per (gamma, node), and the minimizer's golden-section steps read
-their windows from the lattice of its grid.  The panels are narrowed
+on h alone, so the pair is evaluated once per lattice node per call,
+not once per (gamma, node), and the minimizer's golden-section steps
+read their windows from the lattice of its grid.  The panels are narrowed
 as |rho| nears 1 or the cutoff grows, where the integrand switches
 over a short range of h, so the default rule holds its accuracy up to
 RHO_MAX.  The SD coverage functions take ``panels=`` and ``order=``
@@ -239,8 +241,8 @@ def build_interval(
     which = IntervalRule(which)
     z_a = z_quantile(1.0 - 0.5 * alpha)
     scale = fit.sigma * math.sqrt(fit.v_theta)
-    center = kernel._center(fit, spec, which)
-    factor = kernel.RULES[which].factor(fit.gamma_hat, fit.rho, spec)
+    shift, factor = kernel.RULES[which].terms(fit.gamma_hat, fit.rho, spec)
+    center = kernel._center(fit, shift)
     half_width = z_a * scale * float(factor)
     lower = center - half_width
     upper = center + half_width
@@ -310,8 +312,7 @@ class _Lattice:
         kept_lo, kept_hi, *values = self.kept
         if not (kept_lo <= lo and hi <= kept_hi):
             h = self._nodes(lo, hi)
-            kept_lo, values = lo, [self.geometry.shift(h, self.rho, self.spec),
-                                   self.geometry.factor(h, self.rho, self.spec)]
+            kept_lo, values = lo, self.geometry.terms(h, self.rho, self.spec)
             self.kept = (lo, hi, *values)
         per_panel = self.rule.nodes.size
         return [v[(lo - kept_lo) * per_panel : (hi - kept_lo) * per_panel] for v in values]

@@ -18,13 +18,17 @@ square a pair of correlated normal draws must land in (its diagonal
 corners as gauss.bvn_orthant takes them).
 
 The four interval rules are defined here too, in one table, RULES:
-each rule is a center shift and a half-width factor, both functions of
-the standardized restriction statistic alone.  The point estimators
-below, the realized intervals, the coverage and length integrals and
-the Monte Carlo oracle all read their rule from that table.  Because
-shift and factor depend on the statistic alone, the integrals evaluate
-them once per node of a lattice in the statistic that every gamma
-shares, not once per (gamma, node).
+each rule is one function of the standardized restriction statistic
+alone that returns the pair (center shift, half-width factor).  The
+pair comes from one evaluation, so a rule whose two parts share normal
+CDF and density values takes them once: the delta-method rule's shift
+rho * k and factor r_delta are built from the same four values.  The
+realized intervals, the coverage and length integrals and the Monte
+Carlo oracle all read their rule from that table, one call per block
+of statistics; the point estimators below read the shifts alone.
+Because the pair depends on the statistic alone, the integrals
+evaluate it once per node of a lattice in the statistic that every
+gamma shares, not once per (gamma, node).
 
 The error estimator sigma is treated as known throughout.
 """
@@ -146,6 +150,27 @@ def _check_rho(rho: float) -> float:
     return rho
 
 
+def _finite(gamma, name: str) -> np.ndarray:
+    g = np.asarray(gamma, dtype=float)
+    if not np.all(np.isfinite(g)):
+        raise ValueError(f"{name}: gamma must be finite")
+    return g
+
+
+def _like(gamma, g: np.ndarray, out):
+    """A float for a scalar gamma, else the array."""
+    return float(out) if np.isscalar(gamma) or g.ndim == 0 else out
+
+
+def _k_q(g: np.ndarray, spec: PretestSpec):
+    """k and q at finite g, from one evaluation of the four normal
+    values they share: Phi(d - g), Phi(-d - g), phi(d + g), phi(d - g)."""
+    d = spec.d
+    pdf_plus, pdf_minus = phi(d + g), phi(d - g)
+    mass = Phi(d - g) - Phi(-d - g)
+    return pdf_plus - pdf_minus + g * mass, mass - d * (pdf_plus + pdf_minus)
+
+
 def k(gamma: float | np.ndarray, spec: PretestSpec) -> float | np.ndarray:
     """Smoothing kernel: mean of z * 1{|z| <= d} under z ~ N(gamma, 1).
 
@@ -156,12 +181,8 @@ def k(gamma: float | np.ndarray, spec: PretestSpec) -> float | np.ndarray:
     Odd in gamma, bounded, and decaying like a normal tail once
     |gamma| is a few units past d.
     """
-    g = np.asarray(gamma, dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise ValueError("k: gamma must be finite")
-    d = spec.d
-    out = phi(d + g) - phi(d - g) + g * (Phi(d - g) - Phi(-d - g))
-    return float(out) if np.isscalar(gamma) or g.ndim == 0 else out
+    g = _finite(gamma, "k")
+    return _like(gamma, g, _k_q(g, spec)[0])
 
 
 def q(gamma: float | np.ndarray, spec: PretestSpec) -> float | np.ndarray:
@@ -174,12 +195,8 @@ def q(gamma: float | np.ndarray, spec: PretestSpec) -> float | np.ndarray:
     usual cutoffs q stays in (-1, 1), which keeps the delta-method
     scale factor below real and positive.
     """
-    g = np.asarray(gamma, dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise ValueError("q: gamma must be finite")
-    d = spec.d
-    out = Phi(d - g) - Phi(-d - g) - d * (phi(d + g) + phi(d - g))
-    return float(out) if np.isscalar(gamma) or g.ndim == 0 else out
+    g = _finite(gamma, "q")
+    return _like(gamma, g, _k_q(g, spec)[1])
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -275,9 +292,7 @@ def r(gamma: float | np.ndarray, rho: float, spec: PretestSpec) -> float | np.nd
     arguments take the same path, so r(g)[i] == r(g[i]) bit for bit.
     """
     rho = _check_rho(rho)
-    g = np.asarray(gamma, dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise ValueError("r: gamma must be finite")
+    g = _finite(gamma, "r")
     _, cov, var = _moments(g.ravel(), spec)
     arg = 1.0 - 2.0 * rho * rho * cov + rho * rho * var
     bad = arg < _SQRT_ARG_FLOOR
@@ -287,8 +302,7 @@ def r(gamma: float | np.ndarray, rho: float, spec: PretestSpec) -> float | np.nd
             f"r: squared scale came out {worst:.3e} < {_SQRT_ARG_FLOOR:.0e}; "
             "the kernel moment identities are violated"
         )
-    out = np.sqrt(np.maximum(arg, 0.0)).reshape(g.shape)
-    return float(out) if np.isscalar(gamma) or g.ndim == 0 else out
+    return _like(gamma, g, np.sqrt(np.maximum(arg, 0.0)).reshape(g.shape))
 
 
 def r_delta(
@@ -303,10 +317,12 @@ def r_delta(
     zero and the clamp never fires in practice.
     """
     rho = _check_rho(rho)
-    g = np.asarray(gamma, dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise ValueError("r_delta: gamma must be finite")
-    qv = q(g, spec)
+    g = _finite(gamma, "r_delta")
+    return _like(gamma, g, _delta_factor(_k_q(g, spec)[1], rho))
+
+
+def _delta_factor(qv, rho: float):
+    """r_delta from q, with the clamp and the consistency floor."""
     arg = 1.0 - 2.0 * rho * rho * qv + rho * rho * qv * qv
     bad = np.asarray(arg < _SQRT_ARG_FLOOR)
     if np.any(bad):
@@ -314,8 +330,7 @@ def r_delta(
         raise ConsistencyError(
             f"r_delta: squared scale came out {worst:.3e} < {_SQRT_ARG_FLOOR:.0e}"
         )
-    out = np.sqrt(np.maximum(arg, 0.0))
-    return float(out) if np.isscalar(gamma) or g.ndim == 0 else out
+    return np.sqrt(np.maximum(arg, 0.0))
 
 
 class IntervalRule(str, enum.Enum):
@@ -339,44 +354,43 @@ class RuleGeometry:
 
     so on the data's scale it is centered on
     theta_hat - sigma * sqrt(v_theta) * shift(gamma_hat) with half width
-    z * sigma * sqrt(v_theta) * factor(gamma_hat).  ``shift`` takes
-    (h, rho, spec), and so does ``factor``; both return arrays shaped
-    like h.  ``smoothed`` marks the rules whose shift is the
-    infinite-resample average of the PMS shift, the one a finite
+    z * sigma * sqrt(v_theta) * factor(gamma_hat).  ``terms`` takes
+    (h, rho, spec) and returns the pair (shift, factor), both arrays
+    shaped like h, from one evaluation: a rule whose shift and factor
+    share work does it once.  ``smoothed`` marks the rules whose shift
+    is the infinite-resample average of the PMS shift, the one a finite
     resample average stands in for.
     """
 
-    shift: Callable
-    factor: Callable
+    terms: Callable
     smoothed: bool = False
 
 
-def _no_shift(h, rho: float, spec: PretestSpec):
-    return np.zeros_like(h, dtype=float)
-
-
-def _unit_factor(h, rho: float, spec: PretestSpec):
-    return np.ones_like(h, dtype=float)
+def _full_model_terms(h, rho: float, spec: PretestSpec):
+    return np.zeros_like(h, dtype=float), np.ones_like(h, dtype=float)
 
 
 def _pms_shift(h, rho: float, spec: PretestSpec):
+    """The select-then-estimate shift alone, for resample averages."""
     return np.where(np.abs(h) <= spec.d, rho * h, 0.0)
 
 
-def _pms_factor(h, rho: float, spec: PretestSpec):
-    return np.where(np.abs(h) <= spec.d, math.sqrt(1.0 - rho * rho), 1.0)
+def _pms_terms(h, rho: float, spec: PretestSpec):
+    accept = np.abs(h) <= spec.d
+    return np.where(accept, rho * h, 0.0), np.where(accept, math.sqrt(1.0 - rho * rho), 1.0)
 
 
-def _smoothed_shift(h, rho: float, spec: PretestSpec):
-    return rho * k(h, spec)
+def _sd_terms(h, rho: float, spec: PretestSpec):
+    # k and r share no normal values: r is built from moments of k.
+    return rho * k(h, spec), r(h, rho, spec)
 
 
-def _sd_factor(h, rho: float, spec: PretestSpec):
-    return r(h, rho, spec)
-
-
-def _sd_delta_factor(h, rho: float, spec: PretestSpec):
-    return r_delta(h, rho, spec)
+def _sd_delta_terms(h, rho: float, spec: PretestSpec):
+    """rho * k(h) and r_delta(h), from one evaluation of k and q."""
+    rho = _check_rho(rho)
+    g = _finite(h, "r_delta")
+    kv, qv = _k_q(g, spec)
+    return rho * _like(h, g, kv), _like(h, g, _delta_factor(qv, rho))
 
 
 #: The four interval rules.  PMS keeps the restricted fit and its
@@ -384,19 +398,16 @@ def _sd_delta_factor(h, rho: float, spec: PretestSpec):
 #: unrestricted one otherwise; SD and SD_DELTA center on the smoothed
 #: estimate and scale by the exact or delta-method sd factor.
 RULES = {
-    IntervalRule.FULL_MODEL: RuleGeometry(shift=_no_shift, factor=_unit_factor),
-    IntervalRule.PMS: RuleGeometry(shift=_pms_shift, factor=_pms_factor),
-    IntervalRule.SD: RuleGeometry(shift=_smoothed_shift, factor=_sd_factor, smoothed=True),
-    IntervalRule.SD_DELTA: RuleGeometry(
-        shift=_smoothed_shift, factor=_sd_delta_factor, smoothed=True
-    ),
+    IntervalRule.FULL_MODEL: RuleGeometry(terms=_full_model_terms),
+    IntervalRule.PMS: RuleGeometry(terms=_pms_terms),
+    IntervalRule.SD: RuleGeometry(terms=_sd_terms, smoothed=True),
+    IntervalRule.SD_DELTA: RuleGeometry(terms=_sd_delta_terms, smoothed=True),
 }
 
 
-def _center(fit: FittedModel, spec: PretestSpec, which: IntervalRule) -> float:
-    """Center of rule ``which``'s interval on the data's scale."""
-    scale = fit.sigma * math.sqrt(fit.v_theta)
-    return fit.theta_hat - scale * float(RULES[which].shift(fit.gamma_hat, fit.rho, spec))
+def _center(fit: FittedModel, shift) -> float:
+    """Center on the data's scale of an interval with standardized shift ``shift``."""
+    return fit.theta_hat - fit.sigma * math.sqrt(fit.v_theta) * float(shift)
 
 
 def pms_estimate(fit: FittedModel, spec: PretestSpec) -> float:
@@ -407,7 +418,7 @@ def pms_estimate(fit: FittedModel, spec: PretestSpec) -> float:
     Discontinuous in gamma_hat at +-d with jump size
     |rho| * sigma * sqrt(v_theta) * d.
     """
-    return _center(fit, spec, IntervalRule.PMS)
+    return _center(fit, _pms_shift(fit.gamma_hat, fit.rho, spec))
 
 
 def smoothed_estimate(fit: FittedModel, spec: PretestSpec) -> float:
@@ -418,4 +429,4 @@ def smoothed_estimate(fit: FittedModel, spec: PretestSpec) -> float:
 
     Continuous (in fact smooth) in gamma_hat, unlike pms_estimate.
     """
-    return _center(fit, spec, IntervalRule.SD)
+    return _center(fit, fit.rho * k(fit.gamma_hat, spec))

@@ -8,7 +8,10 @@ standard errors.  Everything runs in standardized units: the true
 parameter of interest is 0 and sigma * sqrt(v_theta) is 1, which the
 coverage and length theory says costs no generality.  Each draw's
 interval comes from the rule's entry in ``kernel.RULES``, the same
-definition build_interval uses.  The simulation is the independent
+definition build_interval uses: one call per chunk of draws returns
+every draw's center shift and half-width factor together, so the
+delta-method rule takes its normal CDF and density values once per
+draw, not once for each.  The simulation is the independent
 check on the quadrature results, so it deliberately shares only the
 rule definitions and kernel evaluations with the analytic path, never
 the integrals.
@@ -32,9 +35,9 @@ from .gauss import z_quantile
 from .intervals import IntervalRule, Scenario
 from .kernel import PretestSpec
 
-#: The select-then-estimate shift; finite-B centers average it over
-#: resamples.
-_PMS_SHIFT = kernel.RULES[IntervalRule.PMS].shift
+#: The select-then-estimate shift alone: finite-B centers average it
+#: over (rows x B) blocks of resamples, which need no factor.
+_PMS_SHIFT = kernel._pms_shift
 
 #: Replications per random substream.  Part of the output contract:
 #: changing it reshuffles which draws land in which substream.
@@ -203,8 +206,9 @@ def run(plan: SimPlan, rule: IntervalRule) -> SimSummary:
 
     Per replication: draw the standardized pair, form the interval
     from the rule's shift and factor exactly as build_interval does in
-    standardized units, and record length and whether the interval
-    contains 0, the standardized truth.  For the smoothed rules with
+    standardized units (one call of the rule's terms per chunk), and
+    record length and whether the interval contains 0, the
+    standardized truth.  For the smoothed rules with
     bootstrap_B > 0 the finite-B resample average replaces the ideal
     smoothed center.  Containment is closed-interval.  The chunked
     vector path is tested to agree with the one-replication-at-a-time
@@ -226,13 +230,14 @@ def run(plan: SimPlan, rule: IntervalRule) -> SimSummary:
         rng = np.random.Generator(np.random.Philox(streams[idx]))
         theta_std, gamma_hat = simulate_pair(plan.scenario, rng, size=m)
 
+        shift, factor = geometry.terms(gamma_hat, rho, plan.spec)
         if geometry.smoothed and plan.bootstrap_B > 0:
             center = _centers_finite_B(
                 theta_std, gamma_hat, rho, plan.spec, plan.bootstrap_B, rng
             )
         else:
-            center = theta_std - geometry.shift(gamma_hat, rho, plan.spec)
-        half = z_a * geometry.factor(gamma_hat, rho, plan.spec)
+            center = theta_std - shift
+        half = z_a * factor
 
         s1 += float(center.sum())
         c2 = center * center

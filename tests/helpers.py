@@ -119,9 +119,8 @@ def pms_coverage(
     rule = breakpoint_rule((-spec.d - gamma, spec.d - gamma), panels=panels, order=order)
     zeta = rule.nodes
     h = gamma + zeta
-    geometry = kernel.RULES[IntervalRule.PMS]
-    shift = geometry.shift(h, rho, spec)
-    half = z_quantile(1.0 - 0.5 * alpha) * geometry.factor(h, rho, spec)
+    shift, factor = kernel.RULES[IntervalRule.PMS].terms(h, rho, spec)
+    half = z_quantile(1.0 - 0.5 * alpha) * factor
     terms = Phi_interval(shift - half, shift + half, rho * zeta, 1.0 - rho * rho)
     return float(np.dot(rule.weights * phi(zeta), terms))
 

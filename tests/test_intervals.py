@@ -145,6 +145,24 @@ class TestBuildInterval:
         with pytest.raises(ValueError):
             build_interval(fit, SPEC10, 1.0, IntervalRule.SD)
 
+    @pytest.mark.parametrize("rule", list(IntervalRule))
+    def test_calls_the_rule_terms_once(self, monkeypatch, rule):
+        # Center and half width come from one call: a second one would
+        # evaluate r twice for the exact-SD rule.
+        fit = FittedModel(theta_hat=0.4, gamma_hat=1.2, sigma=1.3,
+                          v_theta=0.8, v_tau=1.0, rho=0.7)
+        want = build_interval(fit, SPEC10, ALPHA, rule)
+        geometry = kernel.RULES[rule]
+        calls = []
+
+        def counted(h, rho, spec):
+            calls.append(h)
+            return geometry.terms(h, rho, spec)
+
+        monkeypatch.setitem(kernel.RULES, rule, dataclasses.replace(geometry, terms=counted))
+        assert build_interval(fit, SPEC10, ALPHA, rule) == want
+        assert calls == [1.2]
+
     def test_accepts_rule_by_value(self):
         fit = FittedModel(theta_hat=0.0, gamma_hat=0.0, sigma=1.0,
                           v_theta=1.0, v_tau=1.0, rho=0.0)
@@ -527,12 +545,13 @@ class TestCurve:
         geometry = kernel.RULES[IntervalRule.SD_DELTA]
 
         def nan_factor(h, rho, spec):
-            out = np.array(geometry.factor(h, rho, spec), dtype=float)
-            out[h > 8.4] = math.nan
-            return out
+            shift, factor = geometry.terms(h, rho, spec)
+            factor = np.array(factor, dtype=float)
+            factor[h > 8.4] = math.nan
+            return shift, factor
 
         monkeypatch.setitem(kernel.RULES, IntervalRule.SD_DELTA,
-                            dataclasses.replace(geometry, factor=nan_factor))
+                            dataclasses.replace(geometry, terms=nan_factor))
         monkeypatch.setattr(intervals_mod, "min_coverage", lambda *args: MinCoverageReport(
             c_min=0.9, argmin_gamma=1.0, search_grid_step=0.05, refinement_tolerance=1e-7))
         with pytest.raises(RuntimeError, match=f"gamma = {bad}: .*{message}"):

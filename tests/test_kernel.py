@@ -15,8 +15,10 @@ import smoothci.kernel as kernel_mod
 from helpers import integrate_against_shifted_normal, kernel_moments, m_k
 from smoothci.gauss import Phi, phi, z_quantile
 from smoothci.kernel import (
+    RULES,
     ConsistencyError,
     FittedModel,
+    IntervalRule,
     PretestSpec,
     k,
     pms_estimate,
@@ -272,6 +274,68 @@ class TestRDelta:
     def test_even_in_gamma_and_rho(self):
         assert r_delta(1.5, 0.6, SPEC10) == pytest.approx(r_delta(-1.5, 0.6, SPEC10), abs=1e-15)
         assert r_delta(1.5, 0.6, SPEC10) == r_delta(1.5, -0.6, SPEC10)
+
+
+def same_bits(got, want) -> bool:
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def pms_written_out(h, rho, spec):
+    """The select-then-estimate shift and factor, one h at a time."""
+    flat = np.asarray(h, dtype=float).ravel()
+    accept = [abs(x) <= spec.d for x in flat]
+    shift = [rho * x if a else 0.0 for x, a in zip(flat, accept)]
+    factor = [math.sqrt(1.0 - rho * rho) if a else 1.0 for a in accept]
+    return (np.reshape(shift, np.shape(h)), np.reshape(factor, np.shape(h)))
+
+
+class TestRuleTerms:
+    """Each rule's one-call terms against the public functions they fuse."""
+
+    D = SPEC10.d
+    POINTS = [0.0, D, -D, D + 1e-12, D - 1e-12, -D + 1e-12, -D - 1e-12, 40.0, -40.0]
+    COMPOSITION = {
+        IntervalRule.SD_DELTA: lambda h, rho, spec: (rho * k(h, spec), r_delta(h, rho, spec)),
+        IntervalRule.SD: lambda h, rho, spec: (rho * k(h, spec), r(h, rho, spec)),
+        IntervalRule.PMS: pms_written_out,
+        IntervalRule.FULL_MODEL: lambda h, rho, spec: (np.zeros(np.shape(h)),
+                                                       np.ones(np.shape(h))),
+    }
+
+    @pytest.mark.parametrize("rule", list(IntervalRule))
+    @pytest.mark.parametrize("rho", [0.0, 0.7, -0.7, 0.999, -0.999])
+    def test_equal_to_the_composition_bit_for_bit(self, rule, rho):
+        grid = np.array(self.POINTS)
+        for h in [*self.POINTS, grid, np.stack([grid, -grid[::-1], grid + 0.5])]:
+            got = RULES[rule].terms(h, rho, SPEC10)
+            want = self.COMPOSITION[rule](h, rho, SPEC10)
+            assert len(got) == 2
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1]), (rule, rho, h)
+
+    def test_public_kernels_are_their_closed_forms_bit_for_bit(self):
+        # k, q and r_delta share one evaluation of the normal values;
+        # each must still be its own formula, in its own operation order.
+        d = self.D
+        g = np.concatenate([self.POINTS, np.linspace(-30.0, 30.0, 601)])
+        kk = phi(d + g) - phi(d - g) + g * (Phi(d - g) - Phi(-d - g))
+        qq = Phi(d - g) - Phi(-d - g) - d * (phi(d + g) + phi(d - g))
+        assert same_bits(k(g, SPEC10), kk) and same_bits(q(g, SPEC10), qq)
+        for rho in (0.7, -0.999):
+            want = np.sqrt(1.0 - 2.0 * rho * rho * qq + rho * rho * qq * qq)
+            assert same_bits(r_delta(g, rho, SPEC10), want)
+
+    def test_scalar_terms_are_scalar(self):
+        for rule in IntervalRule:
+            shift, factor = RULES[rule].terms(0.3, 0.7, SPEC10)
+            assert np.ndim(shift) == 0 and np.ndim(factor) == 0
+
+    def test_sd_delta_keeps_the_factor_checks(self):
+        terms = RULES[IntervalRule.SD_DELTA].terms
+        with pytest.raises(ValueError, match="correlation magnitude"):
+            terms(0.0, 0.9995, SPEC10)
+        with pytest.raises(ValueError, match="finite"):
+            terms(np.array([0.0, math.nan]), 0.7, SPEC10)
 
 
 class TestEstimators:

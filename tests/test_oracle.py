@@ -88,7 +88,7 @@ class TestFiniteB:
         # from the same stream: equal bit for bit, and the stream ends
         # in the same place.
         pick = np.random.default_rng(17)
-        pms_shift = kernel_mod.RULES[IntervalRule.PMS].shift
+        pms_terms = kernel_mod.RULES[IntervalRule.PMS].terms
         for i in range(1000):
             B = (1, 2, 4096, 4097)[i] if i < 4 else int(pick.integers(1, 4098))
             seed = int(pick.integers(0, 2**32))
@@ -98,7 +98,7 @@ class TestFiniteB:
             ref = np.random.Generator(np.random.Philox(seed))
             z = ref.standard_normal((2, B))
             star = theta + rho * z[0] + math.sqrt(1.0 - rho * rho) * z[1]
-            want = float(np.mean(star - pms_shift(gamma + z[0], rho, SPEC10)))
+            want = float(np.mean(star - pms_terms(gamma + z[0], rho, SPEC10)[0]))
             assert got == want, (seed, B)
             assert rng.standard_normal() == ref.standard_normal()
 
@@ -235,6 +235,47 @@ class TestRun:
         noisy = run(SimPlan(replications=20_000, seed=29, scenario=sc, spec=SPEC10,
                             alpha=ALPHA, bootstrap_B=16), IntervalRule.SD)
         assert noisy.sd_estimate > ideal.sd_estimate
+
+    # Summaries as the rules' separate shift and factor calls gave them,
+    # before the two were fused into one call per chunk:
+    # (rule, replications, seed, gamma, rho, bootstrap_B) -> (mean, sd,
+    # coverage, length, and their standard errors in that order).
+    FROZEN = {
+        ("sd", 20_000, 61, 1.3, 0.7, 0): (
+            -0.17876821132888632, 0.9646771962851356, 0.947, 3.8206312776074816,
+            0.006821297871492455, 0.00490958623401456, 0.0015841559266688372,
+            0.001795941746361394),
+        ("sd_delta", 20_000, 62, 1.3, 0.7, 0): (
+            -0.18750967177747185, 0.970331467550034, 0.93365, 3.8321053212944403,
+            0.006861279607033234, 0.004814206152732556, 0.0017599385997812541,
+            0.003633950419066371),
+        ("pms", 20_000, 63, 1.3, 0.7, 0): (
+            -0.31385804370082976, 1.0867593495673833, 0.8197, 3.211298811124965,
+            0.007684549055969784, 0.005100473575786128, 0.002718381043930376,
+            0.00382038119610282),
+        ("full_model", 20_000, 64, 1.3, 0.7, 0): (
+            -0.005351520966033207, 0.9981774118513678, 0.9516, 3.9199279690801063,
+            0.007058180167473394, 0.004910732022062065, 0.0015175216637662871,
+            1.0092992619811487e-09),
+        ("sd_delta", 3_000, 65, 0.8, -0.9, 32): (
+            0.16324507403928604, 0.8993640769062499, 0.926, 3.373885732872296,
+            0.01642006641104547, 0.013861961296110652, 0.004779260751762067,
+            0.016146376421472076),
+        ("sd", 3_000, 66, 0.8, 0.9, 32): (
+            -0.1834190829945917, 0.9012769540108831, 0.9586666666666667,
+            3.5716603115387358, 0.01645499060904356, 0.013165896653898576,
+            0.003634321985776205, 0.007333585862914808),
+    }
+
+    @pytest.mark.parametrize("case", list(FROZEN))
+    def test_frozen_summaries_bit_for_bit(self, case):
+        rule, n, seed, gamma, rho, B = case
+        out = run(SimPlan(replications=n, seed=seed, scenario=Scenario(gamma, rho),
+                          spec=SPEC10, alpha=ALPHA, bootstrap_B=B), IntervalRule(rule))
+        se = out.standard_errors
+        got = (out.mean_estimate, out.sd_estimate, out.empirical_coverage, out.mean_length,
+               se.mean_estimate, se.sd_estimate, se.empirical_coverage, se.mean_length)
+        assert got == self.FROZEN[case]
 
     def test_summary_is_a_plain_value_object(self):
         plan = SimPlan(replications=2_000, seed=5, scenario=Scenario(0.0, 0.0),

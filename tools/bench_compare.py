@@ -15,7 +15,13 @@ workload and end-to-end metric the median and quartiles of each side,
 the pairs the change won (ties count for neither side) and whether the
 gain rule holds: at least nine tenths of the pairs won and the medians
 farther apart than the parent's quartiles.  It also records each
-side's ``correct`` and share of failed operations.
+side's ``correct`` and share of failed operations, and each side's
+accuracy block: over gamma 0 to 12 in steps of 0.05, the pretest of
+size 0.1 and rho in {0.7, 0.99, 0.999}, the largest |default -
+refined| of the SD and SD_DELTA coverage and scaled lengths, with the
+refined rule ``panels=1280, order=20``, and of the closed-form PMS
+coverage against the side's own quadrature oracle
+``tests/helpers.pms_coverage`` on the refined rule.
 """
 
 from __future__ import annotations
@@ -111,6 +117,54 @@ def side_outcome(runs: list[dict]) -> dict:
             "failed": failed, "failed_share": failed / attempted if attempted else None}
 
 
+ACCURACY_RHOS = (0.7, 0.99, 0.999)
+REFINED = {"panels": 1280, "order": 20}
+
+
+def print_accuracy() -> None:
+    """Print the accuracy block of the smoothci on sys.path as JSON.
+
+    Runs inside a side's directory, with its ``src`` and ``tests`` on
+    the path, so each side is measured with its own code and oracle.
+    """
+    import numpy as np
+    from helpers import pms_coverage
+    from smoothci import intervals
+    from smoothci.kernel import IntervalRule, PretestSpec
+
+    spec, alpha = PretestSpec.from_size(0.1), 0.05
+    gammas = np.arange(241) * 0.05
+    block = {}
+    for rho in ACCURACY_RHOS:
+        grid = intervals.Scenario(gammas, rho)
+        row = {}
+        for name, cov in (("coverage_sd", intervals.coverage_sd),
+                          ("coverage_sd_delta", intervals.coverage_sd_delta)):
+            row[name] = np.max(np.abs(cov(grid, spec, alpha) - cov(grid, spec, alpha, **REFINED)))
+        for name, rule in (("sel_sd", IntervalRule.SD), ("sel_sd_delta", IntervalRule.SD_DELTA)):
+            c_min = intervals.min_coverage(rho, spec, alpha, rule).c_min
+            default = intervals._scaled_length(grid, spec, alpha, c_min, rule)
+            refined = intervals._scaled_length(grid, spec, alpha, c_min, rule, **REFINED)
+            row[name] = np.max(np.abs(default - refined))
+        oracle = [pms_coverage(float(g), rho, spec, alpha, **REFINED) for g in gammas]
+        row["coverage_pms"] = np.max(np.abs(intervals.coverage_pms(grid, spec, alpha) - oracle))
+        block[repr(rho)] = {name: float(err) for name, err in row.items()}
+    print(json.dumps({"gammas": "0 to 12 step 0.05", "pretest_size": 0.1, "alpha": alpha,
+                      "refined": REFINED, "max_abs_error": block}))
+
+
+def accuracy(side: pathlib.Path) -> dict:
+    """The accuracy block of one side, measured in a fresh interpreter."""
+    path = os.pathsep.join(str(p) for p in (side / "src", side / "tests", ROOT / "tools"))
+    done = subprocess.run([sys.executable, "-c", "import bench_compare as b; b.print_accuracy()"],
+                          cwd=side, env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=1800)
+    if done.returncode != 0:
+        raise RuntimeError(f"accuracy in {side.name} exited {done.returncode}:"
+                           f"\n{done.stderr[-2000:]}")
+    return json.loads(done.stdout)
+
+
 def versions() -> dict:
     import numpy
     import scipy
@@ -149,6 +203,7 @@ def main(argv=None) -> int:
             "parent": described["parent"],
             "change": described["change"],
             "run_seconds": spec["run_seconds"],
+            "accuracy": {side: accuracy(sides[side]) for side in ("parent", "change")},
             "workloads": workloads,
         }
         for name, count in plan:
