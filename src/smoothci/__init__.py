@@ -7,14 +7,7 @@ average of a select-then-estimate rule over parametric resamples, and
 ships an independent Monte Carlo oracle to verify every closed form.
 """
 
-from .gauss import (
-    Phi,
-    Phi_interval,
-    QuadratureRule,
-    phi,
-    quadrature_rule,
-    z_quantile,
-)
+from .gauss import Phi, Phi_interval, phi, z_quantile
 from .intervals import (
     CurveTable,
     IntervalReport,
@@ -66,9 +59,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Phi",
     "Phi_interval",
-    "QuadratureRule",
     "phi",
-    "quadrature_rule",
     "z_quantile",
     "CurveTable",
     "IntervalReport",

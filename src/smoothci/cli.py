@@ -188,6 +188,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     gamma_max = float(args.gamma_max)
     step = float(args.step)
     if args.command in ("curve", "figure1"):
+        for flag, value in (("--gamma-max", gamma_max), ("--step", step)):
+            if not math.isfinite(value):
+                raise CLIError(f"{flag} must be finite, got {value}")
         if step <= 0.0:
             raise CLIError(f"--step must be positive, got {step}")
         if gamma_max < step:

@@ -35,9 +35,9 @@ DEFAULT_PANELS = 40
 #: Gauss-Legendre nodes per panel.
 DEFAULT_ORDER = 10
 #: Most rules kept by the rule cache.  The integrals' lattice asks for
-#: a one-panel rule whose width depends on the correlation, so a sweep
-#: over many correlations (or panel counts) asks for a new rule each
-#: time; the bound keeps such a sweep from holding them all.
+#: a one-panel rule whose width depends on the correlation and the
+#: cutoff, so a sweep over many of them asks for a new rule each time;
+#: the bound keeps such a sweep from holding them all.
 _RULE_CACHE_SIZE = 256
 
 

@@ -33,11 +33,11 @@ not once per (gamma, node), and the minimizer's golden-section steps
 read their windows from the lattice of its grid.  The panels are narrowed
 as |rho| nears 1 or the cutoff grows, where the integrand switches
 over a short range of h, so the default rule holds its accuracy up to
-RHO_MAX.  The SD coverage functions take ``panels=`` and ``order=``
-knobs for that lattice, so a refined rule can serve as a reference;
-the rules' half-width factors are closed forms and take no knobs.  The
-length functions, the minimizer and the curve tables always use the
-default rule.
+RHO_MAX.  Nothing here takes quadrature knobs: every integral uses
+the lattice's one rule, gauss.DEFAULT_PANELS panels of DEFAULT_ORDER
+nodes at the least.  The tests check it against an independent
+quadrature in h that shares only the rules of kernel.RULES with this
+module (tests/helpers.py).
 
 A Scenario's gamma may be a 1-d array: the coverage and length
 functions then return one value per gamma, as an array, and a float
@@ -256,7 +256,7 @@ def build_interval(
     )
 
 
-def _panel_width(rho: float, spec: PretestSpec, panels: int) -> tuple[float, int]:
+def _panel_width(rho: float, spec: PretestSpec) -> tuple[float, int]:
     """Width of the h-lattice's panels and the panels one window spans.
 
     Given h the standardized estimate has standard deviation
@@ -266,12 +266,12 @@ def _panel_width(rho: float, spec: PretestSpec, panels: int) -> tuple[float, int
     conditional coverage switches over an h-width of about
     s / (|rho| (1 - q(d))), which at |rho| near 1 or a large cutoff is
     far narrower than the default panel.  The support 2 * HALF_WIDTH
-    gets at least ``panels`` panels, none wider than PANEL_SWITCHES
+    gets at least DEFAULT_PANELS panels, none wider than PANEL_SWITCHES
     switch widths.  A window of count + 1 whole panels covers
     [gamma - HALF_WIDTH, gamma + HALF_WIDTH] wherever gamma falls.
     """
     switches = abs(rho) * (1.0 - kernel.q(spec.d, spec)) / math.sqrt(1.0 - rho * rho)
-    count = max(panels, math.ceil(2.0 * gauss.HALF_WIDTH * switches / PANEL_SWITCHES))
+    count = max(gauss.DEFAULT_PANELS, math.ceil(2.0 * gauss.HALF_WIDTH * switches / PANEL_SWITCHES))
     return 2.0 * gauss.HALF_WIDTH / count, count + 1
 
 
@@ -285,10 +285,9 @@ class _Lattice:
     nodes relative to its first panel's lower edge.
     """
 
-    def __init__(self, geometry: kernel.RuleGeometry, rho: float, spec: PretestSpec,
-                 panels: int, order: int) -> None:
-        self.width, self.window = _panel_width(rho, spec, panels)
-        self.rule = gauss.quadrature_rule(panels=1, order=order, half_width=0.5 * self.width)
+    def __init__(self, geometry: kernel.RuleGeometry, rho: float, spec: PretestSpec) -> None:
+        self.width, self.window = _panel_width(rho, spec)
+        self.rule = gauss.quadrature_rule(panels=1, half_width=0.5 * self.width)
         self.local = self._nodes(0, self.window)
         self.geometry, self.rho, self.spec = geometry, rho, spec
         # (first panel, end panel, shift, factor), replaced as a whole.
@@ -319,37 +318,36 @@ class _Lattice:
 
 
 @lru_cache(maxsize=1)
-def _lattice(geometry: kernel.RuleGeometry, rho: float, spec: PretestSpec,
-             panels: int, order: int) -> _Lattice:
-    """The lattice of the last (rule, rho, spec, rule knobs) integrated.
+def _lattice(geometry: kernel.RuleGeometry, rho: float, spec: PretestSpec) -> _Lattice:
+    """The lattice of the last (rule, rho, spec) integrated.
 
     Consecutive integrals of one rule, such as the minimizer's grid and
     its golden-section steps, read their windows from one evaluation.
     """
-    return _Lattice(geometry, rho, spec, panels, order)
+    return _Lattice(geometry, rho, spec)
 
 
-def _windows(scenario: Scenario, spec: PretestSpec, which: IntervalRule,
-             panels: int, order: int):
+def _windows(scenario: Scenario, spec: PretestSpec, which: IntervalRule):
     """The scenario's gammas in blocks, each with its windows of the lattice.
 
-    Yields (positions, gammas, weights, zeta, shift, factor): the
-    block's positions among the scenario's gammas, those gammas as a
-    column, the quadrature weights of one window, and per gamma a row
-    of its window's nodes as h - gamma, shifts and factors.  h - gamma
-    is the window's offset from gamma plus the nodes' offsets in the
-    window, so it keeps its precision however large gamma is.  Gammas
-    are taken in the order of their windows; a run of them whose
+    Yields (positions, gammas, mass, zeta, shift, factor): the block's
+    positions among the scenario's gammas, those gammas as a column,
+    and per gamma a row of its window's density mass (quadrature weight
+    times phi(h - gamma)), nodes as h - gamma, shifts and factors.
+    h - gamma is the window's offset from gamma plus the nodes' offsets
+    in the window, so it keeps its precision however large gamma is.
+    Gammas are taken in the order of their windows; a run of them whose
     windows fit in LATTICE_NODES shares one lattice evaluation, and a
     block holds at most BLOCK_NODES nodes (at least one window).
     """
-    lattice = _lattice(kernel.RULES[which], scenario.rho, spec, panels, order)
+    lattice = _lattice(kernel.RULES[which], scenario.rho, spec)
     gammas = np.atleast_1d(np.asarray(scenario.gamma, dtype=float))
     first = lattice.first_panels(gammas)
     by_window = np.argsort(first, kind="stable")
     first_sorted = first[by_window]
     nodes = lattice.local.size
     rows = max(1, BLOCK_NODES // nodes)
+    order = lattice.rule.nodes.size
     reach = max(LATTICE_NODES // order, lattice.window) - lattice.window
     weights = np.tile(lattice.rule.weights, lattice.window)
     start = 0
@@ -364,7 +362,8 @@ def _windows(scenario: Scenario, spec: PretestSpec, which: IntervalRule,
             gamma = gammas[positions, None]
             zeta = (first[positions, None] * lattice.width - gamma) + lattice.local
             offsets = first[positions] - lo
-            yield (positions, gamma, weights, zeta, *(view[offsets] for view in views))
+            yield (positions, gamma, weights * phi(zeta), zeta,
+                   *(view[offsets] for view in views))
         start = stop
 
 
@@ -389,8 +388,6 @@ def _coverage(
     spec: PretestSpec,
     alpha: float,
     which: IntervalRule,
-    panels: int,
-    order: int,
 ) -> float | np.ndarray:
     """Exact coverage probability of rule ``which``'s interval.
 
@@ -414,8 +411,7 @@ def _coverage(
     # at rho = 0; only the departure from it is integrated.
     nominal = Phi_interval(-z_a, z_a, 0.0, 1.0)
     out = np.empty(np.size(scenario.gamma))
-    for positions, gamma, weights, zeta, shift, factor in _windows(
-            scenario, spec, which, panels, order):
+    for positions, gamma, mass, zeta, shift, factor in _windows(scenario, spec, which):
         half = z_a * factor
         lower, upper = shift - half, shift + half
         try:
@@ -423,7 +419,7 @@ def _coverage(
         except ValueError as exc:
             ok = np.all(lower <= upper, axis=1)
             raise (_failure(gamma, ok, exc) if not np.all(ok) else exc) from exc
-        cp = nominal + _row_sums(weights * phi(zeta), terms - nominal)
+        cp = nominal + _row_sums(mass, terms - nominal)
         ok = (0.0 <= cp) & (cp <= 1.0)
         if not np.all(ok):
             raise _failure(gamma, ok, f"coverage integrated to {cp[np.argmin(ok)]}, "
@@ -432,32 +428,18 @@ def _coverage(
     return _like(scenario, out)
 
 
-def coverage_sd(
-    scenario: Scenario,
-    spec: PretestSpec,
-    alpha: float,
-    *,
-    panels: int = gauss.DEFAULT_PANELS,
-    order: int = gauss.DEFAULT_ORDER,
-) -> float | np.ndarray:
+def coverage_sd(scenario: Scenario, spec: PretestSpec, alpha: float) -> float | np.ndarray:
     """Exact coverage probability of the SD interval.
 
     Even in gamma and in rho; equal to 1 - alpha for every gamma when
     rho = 0.
     """
-    return _coverage(scenario, spec, alpha, IntervalRule.SD, panels, order)
+    return _coverage(scenario, spec, alpha, IntervalRule.SD)
 
 
-def coverage_sd_delta(
-    scenario: Scenario,
-    spec: PretestSpec,
-    alpha: float,
-    *,
-    panels: int = gauss.DEFAULT_PANELS,
-    order: int = gauss.DEFAULT_ORDER,
-) -> float | np.ndarray:
+def coverage_sd_delta(scenario: Scenario, spec: PretestSpec, alpha: float) -> float | np.ndarray:
     """Exact coverage probability of the SD_DELTA interval."""
-    return _coverage(scenario, spec, alpha, IntervalRule.SD_DELTA, panels, order)
+    return _coverage(scenario, spec, alpha, IntervalRule.SD_DELTA)
 
 
 def coverage_pms(scenario: Scenario, spec: PretestSpec, alpha: float) -> float | np.ndarray:
@@ -528,7 +510,6 @@ def min_coverage(
     alpha: float,
     which: IntervalRule,
     *,
-    grid_step: float = SEARCH_GRID_STEP,
     gamma_max: float | None = None,
 ) -> MinCoverageReport:
     """Minimum over gamma >= 0 of the coverage curve for one rule.
@@ -550,15 +531,16 @@ def min_coverage(
         raise ValueError(f"min_coverage: no coverage curve to minimize for rule {which!r}")
     if gamma_max is None:
         gamma_max = max(SEARCH_GAMMA_MAX, spec.d + gauss.HALF_WIDTH)
-    if grid_step <= 0.0 or gamma_max <= grid_step:
-        raise ValueError("min_coverage: need 0 < grid_step < gamma_max")
+    if not SEARCH_GRID_STEP < gamma_max < math.inf:
+        raise ValueError(f"min_coverage: need {SEARCH_GRID_STEP} < gamma_max < inf, "
+                         f"got {gamma_max}")
     cov = _COVERAGE_BY_RULE[which]
 
     def f(g: float) -> float:
         return cov(Scenario(gamma=float(g), rho=rho), spec, alpha)
 
-    n = int(math.floor(gamma_max / grid_step + 1e-9))
-    grid = np.arange(n + 1) * grid_step
+    n = int(math.floor(gamma_max / SEARCH_GRID_STEP + 1e-9))
+    grid = np.arange(n + 1) * SEARCH_GRID_STEP
     vals = cov(Scenario(gamma=grid, rho=rho), spec, alpha)
     i = int(np.argmin(vals))
     if i == n:
@@ -577,7 +559,7 @@ def min_coverage(
     return MinCoverageReport(
         c_min=best_v,
         argmin_gamma=best_g,
-        search_grid_step=grid_step,
+        search_grid_step=SEARCH_GRID_STEP,
         refinement_tolerance=REFINEMENT_TOL,
     )
 
@@ -588,9 +570,6 @@ def _scaled_length(
     alpha: float,
     c_min: float,
     which: IntervalRule,
-    *,
-    panels: int = gauss.DEFAULT_PANELS,
-    order: int = gauss.DEFAULT_ORDER,
 ) -> float | np.ndarray:
     """Expected half-width factor of rule ``which`` over the flat-rate one.
 
@@ -606,12 +585,11 @@ def _scaled_length(
         raise ValueError(f"scaled expected length: c_min must be in (0, 1), got {c_min}")
     ratio = z_quantile(1.0 - 0.5 * alpha) / z_quantile(0.5 * (1.0 + c_min))
     out = np.empty(np.size(scenario.gamma))
-    for positions, gamma, weights, zeta, _, factor in _windows(
-            scenario, spec, which, panels, order):
+    for positions, gamma, mass, _, _, factor in _windows(scenario, spec, which):
         ok = np.all(np.isfinite(factor), axis=1)
         if not np.all(ok):
             raise _failure(gamma, ok, "length integrand produced a non-finite value")
-        out[positions] = ratio * (1.0 + _row_sums(weights * phi(zeta), factor - 1.0))
+        out[positions] = ratio * (1.0 + _row_sums(mass, factor - 1.0))
     return _like(scenario, out)
 
 
@@ -663,8 +641,8 @@ def curve(
     quantity = Quantity(quantity)
     alpha = _check_alpha(alpha)
     rho = Scenario(0.0, float(rho)).rho
-    if step <= 0.0 or gamma_max < step:
-        raise ValueError("curve: need 0 < step <= gamma_max")
+    if not 0.0 < step <= gamma_max < math.inf:
+        raise ValueError("curve: need 0 < step <= gamma_max < inf")
     n = int(math.floor(gamma_max / step + 1e-9))
     grid = np.arange(n + 1) * step
 

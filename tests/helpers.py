@@ -2,21 +2,24 @@
 
 ``breakpoint_rule`` is a composite Gauss-Legendre rule with extra
 panel edges where an integrand jumps, ``integrate_against_shifted_normal``
-composes an arbitrary integrand with it, ``pms_coverage`` integrates the
-select-then-estimate interval's conditional coverage with it,
+composes an arbitrary integrand with it, ``h_quadrature`` integrates the
+coverage and length of any interval rule with one such rule in h,
 ``kernel_moments`` gives the moments of the smoothing kernel under a
 shifted normal that r is built from, and ``m_k`` is the first of them.
 The tests use them as independent routes to quantities the package
-computes in closed form or on its own lattice.
+computes in closed form or on its own lattice.  Against h_quadrature
+the package's five coverage and length functionals agree to within
+5e-15 at the cutoffs 1.645, 2 and 10 and |rho| from 0.7 to RHO_MAX.
 """
 
 import math
 from typing import Callable, Iterable
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from smoothci import gauss, kernel
-from smoothci.gauss import Phi_interval, QuadratureRule, phi, quadrature_rule, z_quantile
+from smoothci.gauss import QuadratureRule, phi, quadrature_rule
 from smoothci.kernel import IntervalRule, PretestSpec, k
 
 
@@ -101,28 +104,58 @@ def integrate_against_shifted_normal(
     return float(np.dot(rule.weights, phi(z) * vals))
 
 
-def pms_coverage(
-    gamma: float,
+#: Panels per unit of h, and nodes per panel, of h_quadrature's rule.
+H_PANELS_PER_UNIT = 80
+H_ORDER = 20
+#: Most (gamma, node) pairs h_quadrature holds at once.
+H_BLOCK = 1 << 16
+
+
+def h_quadrature(
+    gammas: Iterable[float],
     rho: float,
     spec: PretestSpec,
     alpha: float,
-    *,
-    panels: int = gauss.DEFAULT_PANELS,
-    order: int = gauss.DEFAULT_ORDER,
-) -> float:
-    """Coverage of the select-then-estimate interval by quadrature.
+    which: IntervalRule,
+    c_min: float = 0.9,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coverage and scaled expected length of rule ``which`` at each gamma.
 
-    Given the restriction statistic h the coverage event is a normal
-    interval probability (the estimate is N(rho (h - gamma), 1 - rho^2));
-    it jumps where the pretest flips, so the rule is split at h = +-d.
+    One composite Gauss-Legendre rule in the restriction statistic h,
+    H_PANELS_PER_UNIT panels per unit of H_ORDER nodes each, covers
+    [min gamma - 8, max gamma + 8], with h = +-d as extra panel edges
+    where the PMS rule jumps.  The rule's shift and factor are taken
+    once on it; each gamma then sums, against phi(h - gamma), the
+    conditional coverage (given h the standardized estimate is
+    N(rho (h - gamma), 1 - rho^2)) and the factor, which over
+    z_{(1 + c_min)/2} / z_{1 - alpha/2} is the scaled length.  Only the
+    rules of kernel.RULES are shared with the package: no lattice, no
+    windows, no departure from the nominal coverage, and scipy's normal
+    CDF and quantile, not the package's.
     """
-    rule = breakpoint_rule((-spec.d - gamma, spec.d - gamma), panels=panels, order=order)
-    zeta = rule.nodes
-    h = gamma + zeta
-    shift, factor = kernel.RULES[IntervalRule.PMS].terms(h, rho, spec)
-    half = z_quantile(1.0 - 0.5 * alpha) * factor
-    terms = Phi_interval(shift - half, shift + half, rho * zeta, 1.0 - rho * rho)
-    return float(np.dot(rule.weights * phi(zeta), terms))
+    gammas = np.atleast_1d(np.asarray(gammas, dtype=float))
+    lo = gammas.min() - gauss.HALF_WIDTH
+    hi = gammas.max() + gauss.HALF_WIDTH
+    center, half_width = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    rule = breakpoint_rule((-spec.d - center, spec.d - center),
+                           panels=math.ceil(H_PANELS_PER_UNIT * (hi - lo)),
+                           order=H_ORDER, half_width=half_width)
+    h = center + rule.nodes
+    shift, factor = kernel.RULES[which].terms(h, rho, spec)
+    z_a = ndtri(1.0 - 0.5 * alpha)
+    s = math.sqrt(1.0 - rho * rho)
+    lower, upper = (shift - z_a * factor) / s, (shift + z_a * factor) / s
+    ratio = z_a / ndtri(0.5 * (1.0 + c_min))
+    coverage, length = np.empty(gammas.size), np.empty(gammas.size)
+    rows = max(1, H_BLOCK // h.size)
+    for at in range(0, gammas.size, rows):
+        zeta = h - gammas[at : at + rows, None]
+        mass = rule.weights * np.exp(-0.5 * zeta * zeta) / math.sqrt(2.0 * math.pi)
+        mean = rho * zeta / s
+        coverage[at : at + rows] = np.sum(mass * (ndtr(upper - mean) - ndtr(lower - mean)),
+                                          axis=1)
+        length[at : at + rows] = ratio * np.sum(mass * factor, axis=1)
+    return coverage, length
 
 
 def kernel_moments(

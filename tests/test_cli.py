@@ -73,6 +73,11 @@ class TestCurve:
         assert cli("curve", "--quantity", "cp", "--rho", "1.5").returncode == 1
         assert cli("curve", "--quantity", "cp", "--rho", "0",
                    "--step", "-1").returncode == 1
+        pms = ("curve", "--quantity", "cp_pms", "--rho", "0.5")
+        for args in (pms + ("--step", "nan"), pms + ("--gamma-max", "inf"),
+                     ("figure1", "--rho", "0.5", "--gamma-max", "nan")):
+            res = cli(*args)
+            assert res.returncode == 1 and f"{args[-2]} must be finite" in res.stderr, args
         assert cli("curve", "--quantity", "cp", "--rho", "0",
                    "--alpha", "1.1").returncode == 1
         assert cli("curve", "--quantity", "nope", "--rho", "0").returncode == 1

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import smoothci.intervals as intervals_mod
-from helpers import breakpoint_rule, pms_coverage
+from helpers import breakpoint_rule, h_quadrature
 from smoothci import gauss, kernel
 from smoothci.gauss import z_quantile
 from smoothci.intervals import (
@@ -206,13 +206,15 @@ class TestCoverage:
         assert coverage_pms(sc, SPEC10, ALPHA) < coverage_sd_delta(sc, SPEC10, ALPHA)
         assert coverage_sd_delta(sc, SPEC10, ALPHA) < 0.95
 
-    def test_doubling_panels_changes_nothing_material(self):
-        # coverage_pms is closed form and takes no quadrature knobs.
+    def test_integrals_take_no_quadrature_knobs(self):
         sc = Scenario(1.0, 0.7)
-        for fn in (coverage_sd, coverage_sd_delta):
-            a = fn(sc, SPEC10, ALPHA)
-            b = fn(sc, SPEC10, ALPHA, panels=80)
-            assert a == pytest.approx(b, abs=1e-9)
+        for fn, args in ((coverage_sd, ()), (coverage_sd_delta, ()),
+                         (intervals_mod._scaled_length, (0.9, IntervalRule.SD))):
+            for knob in ("panels", "order"):
+                with pytest.raises(TypeError):
+                    fn(sc, SPEC10, ALPHA, *args, **{knob: 80})
+        with pytest.raises(TypeError):
+            min_coverage(0.7, SPEC10, ALPHA, IntervalRule.SD, grid_step=0.1)
 
 
 def _edge_gammas(spec: PretestSpec, index: int) -> list[float]:
@@ -265,21 +267,12 @@ class TestBatchedGammas:
             scalar = [sel(Scenario(float(g), rho), spec, ALPHA, 0.9) for g in grid]
             assert [float(v) for v in batched] == scalar, sel.__name__
 
-    def test_refined_rule(self):
-        # coverage_pms is closed form and takes no quadrature knobs.
-        spec = PretestSpec.from_cutoff(2.0)
-        grid = self.gammas(spec)
-        for cov in (coverage_sd, coverage_sd_delta):
-            batched = cov(Scenario(grid, 0.7), spec, ALPHA, panels=23, order=7)
-            scalar = [cov(Scenario(float(g), 0.7), spec, ALPHA, panels=23, order=7)
-                      for g in grid]
-            assert [float(v) for v in batched] == scalar, cov.__name__
-
     def test_edge_gammas_reach_the_merge(self):
-        # At d = 2 both breakpoints +-d - gamma of the PMS oracle's rule
-        # sit near panel edges for these gammas: within 1e-12 they merge
-        # into the edges and leave the plain rule, 2e-11 away both split
-        # a panel.
+        # At d = 2 both breakpoints +-d - gamma of a rule split where
+        # the PMS rule jumps sit near panel edges of the default rule
+        # for these gammas: within 1e-12 they merge into the edges and
+        # leave the plain rule, 2e-11 away both split a panel.
+        # h_quadrature's rules meet such near-edge breakpoints too.
         spec = PretestSpec.from_cutoff(2.0)
         plain = gauss.DEFAULT_PANELS * gauss.DEFAULT_ORDER
         *near, past, before = _edge_gammas(spec, 24)
@@ -295,7 +288,7 @@ class TestBatchedGammas:
         # passes of their own; values still equal the scalar calls, and
         # the order of the gammas does not matter.
         span = intervals_mod.LATTICE_NODES // gauss.DEFAULT_ORDER
-        width, _ = intervals_mod._panel_width(rho, SPEC10, gauss.DEFAULT_PANELS)
+        width, _ = intervals_mod._panel_width(rho, SPEC10)
         grid = np.array([3.0 * span * width, 0.0, 0.5, 1.5 * span * width, 0.25])
         for fn, args in ((coverage_sd_delta, ()), (sel_sd, (0.9,))):
             batched = fn(Scenario(grid, rho), SPEC10, ALPHA, *args)
@@ -304,40 +297,41 @@ class TestBatchedGammas:
 
 
 class TestHighRhoAccuracy:
-    """Up to RHO_MAX the default rule stays within 1e-12 of a refined one.
+    """Up to RHO_MAX every coverage and length is within 1e-12 of an
+    independent quadrature.
 
-    The SD integrals are checked against a refined 1280 x 20 lattice,
-    the closed-form PMS coverage against the breakpoint quadrature of
-    tests/helpers.py on the same refined rule, gamma = +-d included.
+    helpers.h_quadrature integrates each rule of kernel.RULES on one
+    refined composite rule in h (80 panels per unit, 20 nodes each,
+    panel edges at h = +-d), with none of the package's lattice: the
+    SD and SD_DELTA coverages and lengths and the closed-form PMS
+    coverage are checked against it, gamma = +-d included.
     """
 
     SPECS = (SPEC10, PretestSpec.from_cutoff(2.0), PretestSpec.from_cutoff(10.0))
-    REFINED = {"panels": 1280, "order": 20}
 
     @staticmethod
     def gammas(spec):
         return np.concatenate([np.arange(0.0, 12.01, 0.25), [spec.d, -spec.d]])
 
-    @pytest.mark.parametrize("rho", [0.99, 0.999, -0.999])
+    @pytest.mark.parametrize("rho", [0.7, 0.99, 0.999, -0.999])
     @pytest.mark.parametrize("spec", SPECS, ids=["size0.1", "d2", "d10"])
     def test_sd_rules_against_a_refined_lattice(self, spec, rho):
-        grid = Scenario(self.gammas(spec), rho)
-        for cov in (coverage_sd, coverage_sd_delta):
-            got, want = cov(grid, spec, ALPHA), cov(grid, spec, ALPHA, **self.REFINED)
-            assert np.max(np.abs(got - want)) < 1e-12, cov.__name__
-        for rule in (IntervalRule.SD, IntervalRule.SD_DELTA):
-            got = intervals_mod._scaled_length(grid, spec, ALPHA, 0.9, rule)
-            want = intervals_mod._scaled_length(grid, spec, ALPHA, 0.9, rule, **self.REFINED)
-            assert np.max(np.abs(got - want)) < 1e-12, rule
+        gammas = self.gammas(spec)
+        grid = Scenario(gammas, rho)
+        for rule, cov in ((IntervalRule.SD, coverage_sd),
+                          (IntervalRule.SD_DELTA, coverage_sd_delta)):
+            want_cp, want_sel = h_quadrature(gammas, rho, spec, ALPHA, rule, c_min=0.9)
+            assert np.max(np.abs(cov(grid, spec, ALPHA) - want_cp)) < 1e-12, rule
+            got_sel = intervals_mod._scaled_length(grid, spec, ALPHA, 0.9, rule)
+            assert np.max(np.abs(got_sel - want_sel)) < 1e-12, rule
 
-    @pytest.mark.parametrize("rho", [0.99, 0.999, -0.999])
+    @pytest.mark.parametrize("rho", [0.7, 0.99, 0.999, -0.999])
     @pytest.mark.parametrize("spec", SPECS, ids=["size0.1", "d2", "d10"])
     def test_pms_closed_form_against_breakpoint_quadrature(self, spec, rho):
-        grid = self.gammas(spec)
-        got = coverage_pms(Scenario(grid, rho), spec, ALPHA)
-        for g, v in zip(grid, got):
-            want = pms_coverage(float(g), rho, spec, ALPHA, **self.REFINED)
-            assert v == pytest.approx(want, abs=1e-12), g
+        gammas = self.gammas(spec)
+        got = coverage_pms(Scenario(gammas, rho), spec, ALPHA)
+        want, _ = h_quadrature(gammas, rho, spec, ALPHA, IntervalRule.PMS)
+        assert np.max(np.abs(got - want)) < 1e-12
 
     def test_pms_underflow_is_exactly_zero(self):
         # rho = 0.999, d = 6: near gamma = 2 the true coverage is below
@@ -415,10 +409,9 @@ class TestMinCoverage:
             min_coverage(0.7, SPEC10, ALPHA, IntervalRule.FULL_MODEL)
 
     def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            min_coverage(0.7, SPEC10, ALPHA, IntervalRule.SD, grid_step=0.0)
-        with pytest.raises(ValueError):
-            min_coverage(0.7, SPEC10, ALPHA, IntervalRule.SD, grid_step=2.0, gamma_max=1.0)
+        for gamma_max in (intervals_mod.SEARCH_GRID_STEP, 0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="gamma_max"):
+                min_coverage(0.7, SPEC10, ALPHA, IntervalRule.SD, gamma_max=gamma_max)
 
     def test_report_validation(self):
         with pytest.raises(ValueError):
@@ -525,10 +518,10 @@ class TestCurve:
             curve(Quantity.CP, 1.2, SPEC10, ALPHA, gamma_max=1.0, step=0.5)
 
     def test_step_validation(self):
-        with pytest.raises(ValueError):
-            curve(Quantity.CP, 0.0, SPEC10, ALPHA, gamma_max=1.0, step=0.0)
-        with pytest.raises(ValueError):
-            curve(Quantity.CP, 0.0, SPEC10, ALPHA, gamma_max=0.1, step=0.5)
+        for gamma_max, step in ((1.0, 0.0), (0.1, 0.5), (1.0, math.nan), (math.nan, 0.5),
+                                (math.inf, 0.5), (math.inf, math.inf)):
+            with pytest.raises(ValueError, match="curve: need"):
+                curve(Quantity.CP_PMS, 0.5, SPEC10, ALPHA, gamma_max=gamma_max, step=step)
 
     @pytest.mark.parametrize("quantity, message", [
         (Quantity.CP_DELTA, "NaN endpoint"),

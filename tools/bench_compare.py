@@ -4,11 +4,12 @@
         --workload exact_sd:10 --workload delta_pms:3 --workload monte_carlo:3 \
         --seed 6001 --out BENCH_6.json
 
-Each side is exported into its own temporary directory (``git archive``
-of the revision; ``--change WORKTREE`` copies the working tree's tracked
-and untracked, not ignored, files instead), and every run executes the
-command BENCHMARK.json gives, from that directory, for its
-``run_seconds``.  Pair i of a workload runs both sides on seed
+Each side is exported into its own temporary directory by ``git
+archive``: of the revision, or for ``--change WORKTREE`` of a tree of
+the working tree's tracked and untracked, not ignored, files, written
+through a temporary index so that the repository's own index is left
+alone.  Every run executes the command BENCHMARK.json gives, from that
+directory, for its ``run_seconds``.  Pair i of a workload runs both sides on seed
 ``--seed + i``; even pairs run the parent first, odd pairs the change.
 The output file records the machine, both versions, every run, and per
 workload and end-to-end metric the median and quartiles of each side,
@@ -17,11 +18,12 @@ gain rule holds: at least nine tenths of the pairs won and the medians
 farther apart than the parent's quartiles.  It also records each
 side's ``correct`` and share of failed operations, and each side's
 accuracy block: over gamma 0 to 12 in steps of 0.05, the pretest of
-size 0.1 and rho in {0.7, 0.99, 0.999}, the largest |default -
-refined| of the SD and SD_DELTA coverage and scaled lengths, with the
-refined rule ``panels=1280, order=20``, and of the closed-form PMS
-coverage against the side's own quadrature oracle
-``tests/helpers.pms_coverage`` on the refined rule.
+size 0.1 and rho in {0.7, 0.99, 0.999}, the largest distance of the
+side's SD, SD_DELTA and PMS coverages and SD and SD_DELTA scaled
+lengths from the independent quadrature ``tests/helpers.h_quadrature``
+of this tool's own checkout, so that both sides are measured with one
+yardstick.  That oracle reads each rule from ``kernel.RULES[rule].terms``,
+so both sides must have it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ import json
 import os
 import pathlib
 import platform
-import shutil
 import statistics
 import subprocess
 import sys
@@ -42,27 +43,29 @@ import tempfile
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def git(*args: str) -> bytes:
-    return subprocess.run(["git", *args], cwd=ROOT, stdout=subprocess.PIPE, check=True).stdout
+def git(*args: str, env: dict | None = None) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, stdout=subprocess.PIPE, check=True,
+                          env=env).stdout
 
 
 def export(rev: str, into: pathlib.Path) -> dict:
     """Write version ``rev`` of the repository into ``into``; describe it."""
     into.mkdir(parents=True)
     if rev == "WORKTREE":
-        names = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
-        for name in filter(None, names.decode().split("\0")):
-            source = ROOT / name
-            if source.is_file():
-                (into / name).parent.mkdir(parents=True, exist_ok=True)
-                shutil.copy2(source, into / name)
+        env = {**os.environ, "GIT_INDEX_FILE": str(into.with_name(into.name + ".index"))}
+        git("read-tree", "HEAD", env=env)
+        git("add", "-A", env=env)
+        treeish = git("write-tree", env=env).decode().strip()
         base = git("rev-parse", "HEAD").decode().strip()
         dirty = git("status", "--porcelain", "--untracked-files=all").decode().splitlines()
-        return {"rev": "WORKTREE", "base": base, "changed_files": len(dirty)}
-    sha = git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
-    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", sha))) as tar:
+        described = {"rev": "WORKTREE", "base": base, "tree": treeish,
+                     "changed_files": len(dirty)}
+    else:
+        treeish = git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
+        described = {"rev": rev, "commit": treeish}
+    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", treeish))) as tar:
         tar.extractall(into)
-    return {"rev": rev, "commit": sha}
+    return described
 
 
 def run_once(side: pathlib.Path, command: list[str], workload: str, seed: int,
@@ -118,17 +121,19 @@ def side_outcome(runs: list[dict]) -> dict:
 
 
 ACCURACY_RHOS = (0.7, 0.99, 0.999)
-REFINED = {"panels": 1280, "order": 20}
+#: The yardstick of the accuracy block, taken from this tool's checkout.
+REFINED = "tests/helpers.h_quadrature"
 
 
 def print_accuracy() -> None:
     """Print the accuracy block of the smoothci on sys.path as JSON.
 
-    Runs inside a side's directory, with its ``src`` and ``tests`` on
-    the path, so each side is measured with its own code and oracle.
+    Runs inside a side's directory, with its ``src`` and this tool's
+    ``tests`` on the path, so each side's code is measured against one
+    oracle.
     """
+    import helpers
     import numpy as np
-    from helpers import pms_coverage
     from smoothci import intervals
     from smoothci.kernel import IntervalRule, PretestSpec
 
@@ -138,24 +143,26 @@ def print_accuracy() -> None:
     for rho in ACCURACY_RHOS:
         grid = intervals.Scenario(gammas, rho)
         row = {}
-        for name, cov in (("coverage_sd", intervals.coverage_sd),
-                          ("coverage_sd_delta", intervals.coverage_sd_delta)):
-            row[name] = np.max(np.abs(cov(grid, spec, alpha) - cov(grid, spec, alpha, **REFINED)))
-        for name, rule in (("sel_sd", IntervalRule.SD), ("sel_sd_delta", IntervalRule.SD_DELTA)):
+        for rule, cov, sel in (
+                (IntervalRule.SD, intervals.coverage_sd, "sel_sd"),
+                (IntervalRule.SD_DELTA, intervals.coverage_sd_delta, "sel_sd_delta")):
             c_min = intervals.min_coverage(rho, spec, alpha, rule).c_min
-            default = intervals._scaled_length(grid, spec, alpha, c_min, rule)
-            refined = intervals._scaled_length(grid, spec, alpha, c_min, rule, **REFINED)
-            row[name] = np.max(np.abs(default - refined))
-        oracle = [pms_coverage(float(g), rho, spec, alpha, **REFINED) for g in gammas]
-        row["coverage_pms"] = np.max(np.abs(intervals.coverage_pms(grid, spec, alpha) - oracle))
+            cp, length = helpers.h_quadrature(gammas, rho, spec, alpha, rule, c_min=c_min)
+            row[cov.__name__] = np.max(np.abs(cov(grid, spec, alpha) - cp))
+            got = intervals._scaled_length(grid, spec, alpha, c_min, rule)
+            row[sel] = np.max(np.abs(got - length))
+        cp, _ = helpers.h_quadrature(gammas, rho, spec, alpha, IntervalRule.PMS)
+        row["coverage_pms"] = np.max(np.abs(intervals.coverage_pms(grid, spec, alpha) - cp))
         block[repr(rho)] = {name: float(err) for name, err in row.items()}
+    refined = {"oracle": REFINED, "panels_per_unit": helpers.H_PANELS_PER_UNIT,
+               "order": helpers.H_ORDER}
     print(json.dumps({"gammas": "0 to 12 step 0.05", "pretest_size": 0.1, "alpha": alpha,
-                      "refined": REFINED, "max_abs_error": block}))
+                      "refined": refined, "max_abs_error": block}))
 
 
 def accuracy(side: pathlib.Path) -> dict:
     """The accuracy block of one side, measured in a fresh interpreter."""
-    path = os.pathsep.join(str(p) for p in (side / "src", side / "tests", ROOT / "tools"))
+    path = os.pathsep.join(str(p) for p in (side / "src", ROOT / "tests", ROOT / "tools"))
     done = subprocess.run([sys.executable, "-c", "import bench_compare as b; b.print_accuracy()"],
                           cwd=side, env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=1800)
