@@ -12,6 +12,14 @@ is at most 2*Phi(-8), about 1.2e-15, far below every tolerance used in
 this package.  bvn_orthant gives the bivariate probabilities through
 Owen's T function, for the closed-form PMS coverage and the kernel
 moments.
+
+The public functions check their input and then call a private core
+that holds the formula: phi calls _density, Phi_interval _interval and
+bvn_orthant _orthant.  The coverage integrals call the cores directly
+on arguments they build finite and ordered, and check what could go
+wrong once per evaluated span of the lattice instead (see intervals),
+so each formula has one definition and the checks run once, not once
+per gamma.
 """
 
 from __future__ import annotations
@@ -51,8 +59,14 @@ def phi(x: float | np.ndarray) -> float | np.ndarray:
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("phi: input must be finite")
-    out = _INV_SQRT_2PI * np.exp(-0.5 * arr * arr)
+    out = _density(arr)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+
+
+def _density(x: np.ndarray) -> np.ndarray:
+    """phi's formula without its input check, for the integrals' nodes,
+    which are finite by construction."""
+    return _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
 
 def Phi(x: float | np.ndarray) -> float | np.ndarray:
@@ -146,7 +160,8 @@ def Phi_interval(
 
     holds bit for bit, not merely to rounding.  That exactness is what
     makes every coverage quantity built on top of this function an
-    exactly even function of its correlation argument.
+    exactly even function of its correlation argument.  The checks are
+    made here; the formula is _interval.
     """
     l_arr = np.asarray(l, dtype=float)
     u_arr = np.asarray(u, dtype=float)
@@ -160,17 +175,25 @@ def Phi_interval(
         raise ValueError("Phi_interval: variance must be finite and positive")
     if np.any(l_arr > u_arr):
         raise ValueError("Phi_interval: lower endpoint exceeds upper endpoint")
-
-    s = np.sqrt(v_arr)
-    a = (l_arr - mu_arr) / s
-    b = (u_arr - mu_arr) / s
-    flip = a + b > 0.0
-    lo = np.where(flip, -b, a)
-    hi = np.where(flip, -a, b)
-    p = 0.5 * (erfc(-hi / _SQRT2) - erfc(-lo / _SQRT2))
-    p = np.clip(p, 0.0, 1.0)
+    p = _interval(l_arr, u_arr, mu_arr, np.sqrt(v_arr))
     scalar = all(np.isscalar(t) or np.asarray(t).ndim == 0 for t in (l, u, mu, v))
     return float(p) if scalar else p
+
+
+def _interval(l, u, mu, s):
+    """Phi_interval's formula without its input checks, for a standard
+    deviation s: l <= u with no NaN, mu finite, s positive.
+
+    With a and b the standardized ends, the canonical interval is
+    [a, b] when a + b <= 0 and its mirror image [-b, -a] otherwise.
+    The CDF values are taken at its negated ends, which are
+    max(a, -b) and max(b, -a) either way, so no branch is needed and
+    no inf - inf is formed for infinite ends.
+    """
+    a = (l - mu) / s
+    b = (u - mu) / s
+    p = 0.5 * (erfc(np.maximum(a, -b) / _SQRT2) - erfc(np.maximum(b, -a) / _SQRT2))
+    return np.minimum(np.maximum(p, 0.0), 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,8 +274,9 @@ def _upper_tail(x: np.ndarray) -> np.ndarray:
     return 0.5 * erfc(x / _SQRT2)
 
 
-def _wedge(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Q(x)/2 - T(x, y/x) for x, y >= 0 not both 0; T is Owen's function.
+def _wedge(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q(x)/2 - T(x, y/x) for x, y >= 0 not both 0, and Q(x); T is Owen's
+    function.
 
     That is the mass of a standard normal pair beyond x in its first
     coordinate and beyond the ray through (x, y) in the second.  For
@@ -261,19 +285,48 @@ def _wedge(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     rewrites it as T(y, x/y) - Q(y) (1/2 - Q(x)).  Either way the
     terms are no larger than Q(min(x, y)), not O(1): a wedge far in
     the tail keeps most of its relative accuracy, and one beyond the
-    double range comes out 0.
+    double range comes out 0.  Q(x) is returned for the caller's other
+    wedge side, so it is taken once.
     """
-    far = y > x
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = owens_t(np.where(far, y, x), np.where(far, x / y, y / x))
+    # Owen's T at (max(x, y), min(x, y) / max(x, y)): (y, x/y) when
+    # y > x, else (x, y/x).  0/0 only at the origin.
+    top = np.maximum(x, y)
+    with np.errstate(invalid="ignore"):
+        t = owens_t(top, np.minimum(x, y) / top)
     qx, qy = _upper_tail(np.array([x, y]))
-    return np.where(far, t - qy * (0.5 - qx), 0.5 * qx - t)
+    return np.where(y > x, t - qy * (0.5 - qx), 0.5 * qx - t), qx
 
 
 def _bvn_diagonal(h: np.ndarray, rho: float) -> np.ndarray:
     """bvn_orthant on its diagonal, P(X > h, Y <= h) = 2 T(h, (1 - rho)/s),
     without input checks."""
     return 2.0 * owens_t(h, (1.0 - rho) / math.sqrt((1.0 - rho) * (1.0 + rho)))
+
+
+def _orthant(h: np.ndarray, k: np.ndarray, rho: float) -> np.ndarray:
+    """bvn_orthant's formula without its input checks: h and k finite
+    arrays of one shape, |rho| < 1.
+
+    Off the diagonal the corner is split into two wedges (_wedge); the
+    diagonal formula is evaluated only at the corners with h == k,
+    where it replaces the split.
+    """
+    on_diagonal = h == k
+    if on_diagonal.all():
+        return _bvn_diagonal(h, rho)
+    s = math.sqrt((1.0 - rho) * (1.0 + rho))
+    # Signed distance of the corner from the ray, seen from each
+    # axis: the wedge on an axis is Q/2 -+ T by its sign.
+    t = np.array([k - rho * h, rho * k - h]) / s
+    w, qx = _wedge(np.abs(np.array([h, k])), np.abs(t))
+    side_h, side_k = np.where(t <= 0.0, w, qx - w)
+    sign_h = np.where(h < 0.0, -1.0, 1.0)
+    sign_k = np.where(k < 0.0, -1.0, 1.0)
+    off = ((h < 0.0) & (k >= 0.0)) + sign_h * side_h - sign_k * side_k
+    out = np.minimum(np.maximum(off, 0.0), 1.0)
+    if on_diagonal.any():
+        out[on_diagonal] = _bvn_diagonal(h[on_diagonal], rho)
+    return out
 
 
 def bvn_orthant(
@@ -290,7 +343,9 @@ def bvn_orthant(
     exactly 0.  On the diagonal h == k the probability is
     2 T(h, (1 - rho)/s) with s = sqrt(1 - rho^2), which also holds at
     the origin, where the general split is undefined; there it is
-    1/4 - asin(rho)/(2 pi).  Needs |rho| < 1 and finite h, k.
+    1/4 - asin(rho)/(2 pi).  Needs |rho| < 1 and finite h, k.  The
+    checks are made here; the formula is _orthant, which the PMS
+    coverage calls directly on corners it builds finite.
     """
     rho = float(rho)
     if not abs(rho) < 1.0:
@@ -298,18 +353,5 @@ def bvn_orthant(
     h_arr, k_arr = np.broadcast_arrays(np.asarray(h, dtype=float), np.asarray(k, dtype=float))
     if not (np.all(np.isfinite(h_arr)) and np.all(np.isfinite(k_arr))):
         raise ValueError("bvn_orthant: corner must be finite")
-    on_diagonal = h_arr == k_arr
-    out = _bvn_diagonal(h_arr, rho)
-    if not np.all(on_diagonal):
-        s = math.sqrt((1.0 - rho) * (1.0 + rho))
-        # Signed distance of the corner from the ray, seen from each
-        # axis: the wedge on an axis is Q/2 -+ T by its sign.
-        t = np.array([k_arr - rho * h_arr, rho * k_arr - h_arr]) / s
-        x = np.abs(np.array([h_arr, k_arr]))
-        w = _wedge(x, np.abs(t))
-        side_h, side_k = np.where(t <= 0.0, w, _upper_tail(x) - w)
-        sign_h = np.where(h_arr < 0.0, -1.0, 1.0)
-        sign_k = np.where(k_arr < 0.0, -1.0, 1.0)
-        off = ((h_arr < 0.0) & (k_arr >= 0.0)) + sign_h * side_h - sign_k * side_k
-        out = np.where(on_diagonal, out, np.clip(off, 0.0, 1.0))
+    out = _orthant(h_arr, k_arr, rho)
     return float(out) if np.ndim(h) == 0 and np.ndim(k) == 0 else out

@@ -28,9 +28,19 @@ length are one-dimensional integrals in h against the N(gamma, 1)
 density, on a lattice of Gauss-Legendre panels anchored at h = 0 that
 does not depend on gamma: each gamma reads the window of whole panels
 covering [gamma - 8, gamma + 8].  The rule's shift and factor depend
-on h alone, so the pair is evaluated once per lattice node per call,
-not once per (gamma, node), and the minimizer's golden-section steps
-read their windows from the lattice of its grid.  The panels are narrowed
+on h alone, so the pair is evaluated once per lattice node, not once
+per (gamma, node).  Everything a coverage or length evaluation needs
+that does not depend on gamma is prepared once per (rule, rho, spec,
+alpha) and cached (_prepared): for the SD rules z_a, the nominal
+coverage, the lattice with its tiled weights, and the shifts, factors
+and interval ends on a kept span of panels, checked once per evaluated
+span; for PMS the constants of its closed form.  A single gamma, such
+as a golden-section step of the minimizer, then reads its window as
+slices of the kept span and costs one window of arithmetic, and a
+coverage array evaluates only the gammas the rule's last array did not
+hold.
+The integrals call the unchecked cores of gauss (Phi_interval's
+_interval, bvn_orthant's _orthant).  The panels are narrowed
 as |rho| nears 1 or the cutoff grows, where the integrand switches
 over a short range of h, so the default rule holds its accuracy up to
 RHO_MAX.  Nothing here takes quadrature knobs: every integral uses
@@ -61,7 +71,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import gauss, kernel
-from .gauss import Phi_interval, phi, z_quantile
+from .gauss import Phi_interval, z_quantile
 from .kernel import RHO_MAX, FittedModel, IntervalRule, PretestSpec
 
 #: Tolerance on the minimized coverage value implied by stopping the
@@ -79,8 +89,8 @@ BLOCK_NODES = 32 * 400
 #: rule stays within 5e-15 of a 1280 x 20 one for cutoffs up to 10 and
 #: |rho| up to RHO_MAX; with 2 the error reaches 4e-13.
 PANEL_SWITCHES = 1.5
-#: Most lattice nodes one integral keeps shift and factor values for;
-#: gammas spread farther apart are integrated in several passes.
+#: Most lattice nodes a prepared curve keeps shift and factor values
+#: for; gammas spread farther apart are integrated in several passes.
 LATTICE_NODES = 1 << 16
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -275,94 +285,212 @@ def _panel_width(rho: float, spec: PretestSpec) -> tuple[float, int]:
     return 2.0 * gauss.HALF_WIDTH / count, count + 1
 
 
-class _Lattice:
-    """One rule's shift and factor on the h-lattice of one correlation.
+def _running_count(bad: np.ndarray):
+    """Running count of the True entries, from 0; None when there are none."""
+    return np.concatenate(([0], np.cumsum(bad))) if np.any(bad) else None
 
-    The nodes of panel p are the one-panel rule translated to
-    (p + 1/2) * width, so a node's bits depend on p alone, not on the
-    span it was evaluated in.  The span last evaluated is kept, and a
-    window inside it is read as a slice.  ``local`` holds a window's
-    nodes relative to its first panel's lower edge.
+
+class _Curve:
+    """What a smoothed rule's coverage and length integrals need apart
+    from gamma, for one (rule, rho, spec, alpha).
+
+    That is z_a, the nominal coverage, the h-lattice with its tiled
+    weights, and the rule's shift and factor with the interval's ends
+    shift -+ z_a factor on a kept span of panels.  The nodes of panel p
+    are the one-panel rule translated to (p + 1/2) * width, so a node's
+    bits depend on p alone, not on the span it was evaluated in: a
+    window that overlaps the kept span or meets it only adds the panels
+    it lacks, up to LATTICE_NODES nodes in all, and any other window
+    replaces the span.  The ends and the factor are checked once per
+    evaluated span; a window is checked by the running counts of the
+    nodes that fail.  ``local`` holds, as a row, a window's nodes
+    relative to its first panel's lower edge.  The coverages of the
+    last array of gammas are kept by the gammas' bits (see recall).
     """
 
-    def __init__(self, geometry: kernel.RuleGeometry, rho: float, spec: PretestSpec) -> None:
+    def __init__(self, geometry: kernel.RuleGeometry, rho: float, spec: PretestSpec,
+                 alpha: float) -> None:
         self.width, self.window = _panel_width(rho, spec)
-        self.rule = gauss.quadrature_rule(panels=1, half_width=0.5 * self.width)
-        self.local = self._nodes(0, self.window)
+        rule = gauss.quadrature_rule(panels=1, half_width=0.5 * self.width)
+        self.nodes, self.order = rule.nodes, rule.nodes.size
+        self.local = self._h(0, self.window)[None, :]
+        self.size = self.local.size
+        self.weights = np.tile(rule.weights, self.window)
         self.geometry, self.rho, self.spec = geometry, rho, spec
-        # (first panel, end panel, shift, factor), replaced as a whole.
-        self.kept: tuple = (0, 0, None, None)
+        self.z_a = z_quantile(1.0 - 0.5 * alpha)
+        # The full-model interval covers with this probability given any
+        # h at rho = 0; only the departure from it is integrated.
+        self.nominal = Phi_interval(-self.z_a, self.z_a, 0.0, 1.0)
+        self.sd = math.sqrt(1.0 - rho * rho)
+        # Panels lo to hi - 1 are kept.
+        self.lo = self.hi = 0
+        self.kept: dict[str, np.ndarray] = {}
+        self.bad: dict[str, np.ndarray | None] = {}
+        self.memo: tuple[np.ndarray, np.ndarray] | None = None
 
-    def _nodes(self, lo: int, hi: int) -> np.ndarray:
-        return (((np.arange(lo, hi) + 0.5) * self.width)[:, None] + self.rule.nodes).ravel()
+    def _h(self, lo: int, hi: int) -> np.ndarray:
+        return (((np.arange(lo, hi) + 0.5) * self.width)[:, None] + self.nodes).ravel()
+
+    def first_panel(self, gamma: float) -> int:
+        """Index of the first panel of gamma's window.
+
+        Clipped to +-2^62 as first_panels clips, so that the two agree
+        on every finite gamma; a gamma past the clip by more than a
+        window lies so far from its window that the integrals take
+        their large-gamma limits.
+        """
+        return min(max(math.floor((gamma - gauss.HALF_WIDTH) / self.width), -2**62), 2**62)
 
     def first_panels(self, gammas: np.ndarray) -> np.ndarray:
-        """Index of the first panel of each gamma's window.
-
-        Clipped to +-2^62 so that any finite gamma gets an int64 index;
-        a gamma past the clip by more than a window lies so far from
-        its window that the integrals take their large-gamma limits.
-        """
+        """first_panel of each gamma, as int64."""
         first = np.floor((gammas - gauss.HALF_WIDTH) / self.width)
         return np.clip(first, -2.0**62, 2.0**62).astype(np.int64)
 
-    def span(self, lo: int, hi: int) -> list[np.ndarray]:
-        """Shift and factor at the nodes of panels lo to hi - 1."""
-        kept_lo, kept_hi, *values = self.kept
-        if not (kept_lo <= lo and hi <= kept_hi):
-            h = self._nodes(lo, hi)
-            kept_lo, values = lo, self.geometry.terms(h, self.rho, self.spec)
-            self.kept = (lo, hi, *values)
-        per_panel = self.rule.nodes.size
-        return [v[(lo - kept_lo) * per_panel : (hi - kept_lo) * per_panel] for v in values]
+    def keep(self, lo: int, hi: int) -> int:
+        """Make panels lo to hi - 1 part of the kept span; the offset of
+        panel lo's first node in it."""
+        if not (self.lo <= lo and hi <= self.hi):
+            start, stop = min(lo, self.lo), max(hi, self.hi)
+            limit = max(LATTICE_NODES, self.size)
+            apart = lo > self.hi or hi < self.lo
+            if not self.kept or apart or (stop - start) * self.order > limit:
+                start, stop, parts = lo, hi, [self._terms(lo, hi)]
+            else:
+                parts = [self._terms(start, self.lo),
+                         (self.kept["shift"], self.kept["factor"]),
+                         self._terms(self.hi, stop)]
+            shift, factor = (np.concatenate(v) for v in zip(*parts))
+            half = self.z_a * factor
+            lower, upper = shift - half, shift + half
+            self.lo, self.hi = start, stop
+            self.kept = {"shift": shift, "factor": factor, "lower": lower, "upper": upper}
+            self.bad = {"ends": _running_count(~(lower <= upper)),
+                        "factor": _running_count(~np.isfinite(factor))}
+        return (lo - self.lo) * self.order
+
+    def _terms(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        if lo == hi:
+            return np.empty(0), np.empty(0)
+        return self.geometry.terms(self._h(lo, hi), self.rho, self.spec)
+
+    def check(self, kind: str, gamma, at) -> None:
+        """Raise, naming the first gamma, if a window starting at node
+        offsets ``at`` of the kept span holds a node that fails check
+        ``kind``: an end that is NaN or out of order, or a factor that
+        is not finite."""
+        counts = self.bad[kind]
+        if counts is None:
+            return
+        ok = counts[at + self.size] == counts[at]
+        if np.all(ok):
+            return
+        if kind == "factor":
+            raise _failure(gamma, ok, "length integrand produced a non-finite value")
+        first = np.ravel(at)[np.argmin(ok)]
+        lower, upper = (self.kept[n][first : first + self.size] for n in ("lower", "upper"))
+        if np.isnan(lower).any() or np.isnan(upper).any():
+            raise _failure(gamma, ok, "NaN endpoint")
+        raise _failure(gamma, ok, "lower endpoint exceeds upper endpoint")
+
+    def recall(self, gammas: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Positions of the gammas the last array did not hold; the
+        others' coverages are put in ``out``.  A gamma's coverage does
+        not depend on the array it came in, so this is exact."""
+        if self.memo is None:
+            return np.arange(gammas.size)
+        known, values = self.memo
+        bits = gammas.view(np.int64)
+        at = np.minimum(np.searchsorted(known, bits), known.size - 1)
+        hit = known[at] == bits
+        out[hit] = values[at[hit]]
+        return np.flatnonzero(~hit)
+
+    def remember(self, gammas: np.ndarray, coverages: np.ndarray) -> None:
+        bits = gammas.view(np.int64)
+        order = np.argsort(bits)
+        self.memo = (bits[order], coverages[order])
 
 
-@lru_cache(maxsize=1)
-def _lattice(geometry: kernel.RuleGeometry, rho: float, spec: PretestSpec) -> _Lattice:
-    """The lattice of the last (rule, rho, spec) integrated.
+class _PmsCurve:
+    """The constants of the closed-form PMS coverage for one (rho, spec,
+    alpha): |rho| and sqrt(1 - rho^2), the ends of the accepted branch
+    and of the narrow interval, and the strips' second corner
+    coordinates +-z_a (see coverage_pms)."""
 
-    Consecutive integrals of one rule, such as the minimizer's grid and
-    its golden-section steps, read their windows from one evaluation.
+    def __init__(self, rho: float, spec: PretestSpec, alpha: float) -> None:
+        z_a = z_quantile(1.0 - 0.5 * alpha)
+        self.rho, self.d = abs(rho), spec.d
+        self.sd = math.sqrt(1.0 - self.rho * self.rho)
+        self.lower = np.array([[-spec.d], [-z_a]])
+        self.upper = np.array([[spec.d], [z_a]])
+        self.corner = np.array([z_a, -z_a])[:, None, None]
+
+
+@lru_cache(maxsize=3)
+def _prepared(which: IntervalRule, geometry: kernel.RuleGeometry, rho: float,
+              spec: PretestSpec, alpha: float) -> _Curve | _PmsCurve:
+    """The prepared curves of the last three (rule, rho, spec, alpha)
+    integrated, as many as there are rules with a coverage curve.
+
+    Consecutive evaluations of one rule, such as the minimizer's grid
+    and its golden-section steps, share one: each golden-section step
+    reads its window as slices of the span the grid kept, and figure1's
+    delta-method curves keep theirs while its PMS curve runs.  The key
+    holds the rule's entry of kernel.RULES, not just its name.
     """
-    return _Lattice(geometry, rho, spec)
+    if which is IntervalRule.PMS:
+        return _PmsCurve(rho, spec, alpha)
+    return _Curve(geometry, rho, spec, alpha)
 
 
-def _windows(scenario: Scenario, spec: PretestSpec, which: IntervalRule):
-    """The scenario's gammas in blocks, each with its windows of the lattice.
+def _curve_of(scenario: Scenario, spec: PretestSpec, alpha: float, which: IntervalRule):
+    return _prepared(which, kernel.RULES[which], scenario.rho, spec, alpha)
 
-    Yields (positions, gammas, mass, zeta, shift, factor): the block's
-    positions among the scenario's gammas, those gammas as a column,
-    and per gamma a row of its window's density mass (quadrature weight
-    times phi(h - gamma)), nodes as h - gamma, shifts and factors.
-    h - gamma is the window's offset from gamma plus the nodes' offsets
-    in the window, so it keeps its precision however large gamma is.
-    Gammas are taken in the order of their windows; a run of them whose
-    windows fit in LATTICE_NODES shares one lattice evaluation, and a
-    block holds at most BLOCK_NODES nodes (at least one window).
+
+def _windows(curve: _Curve, gammas, names: tuple[str, ...], check: str):
+    """The gammas in blocks, each with its windows of the curve's kept span.
+
+    Yields (positions, gamma, zeta, mass, *rows): the block's positions
+    among the gammas, those gammas as a column, per gamma a row of its
+    window's nodes as h - gamma and of their density mass (quadrature
+    weight times phi(h - gamma)), and its window of each kept array
+    ``names`` names.  h - gamma is the window's offset from gamma plus
+    the nodes' offsets in the window, so it keeps its precision however
+    large gamma is.  A window holding a node that fails ``check``
+    raises first (see _Curve.check).  A float is one block whose window
+    is a slice of the kept span.  An array's gammas are taken
+    in the order of their windows; a run of them whose windows fit in
+    LATTICE_NODES shares one kept span, and a block holds at most
+    BLOCK_NODES nodes (at least one window).
     """
-    lattice = _lattice(kernel.RULES[which], scenario.rho, spec)
-    gammas = np.atleast_1d(np.asarray(scenario.gamma, dtype=float))
-    first = lattice.first_panels(gammas)
+    if isinstance(gammas, float):
+        first = curve.first_panel(gammas)
+        at = curve.keep(first, first + curve.window)
+        curve.check(check, gammas, at)
+        zeta = (first * curve.width - gammas) + curve.local
+        yield (slice(None), gammas, zeta, curve.weights * gauss._density(zeta),
+               *(curve.kept[n][None, at : at + curve.size] for n in names))
+        return
+    first = curve.first_panels(gammas)
     by_window = np.argsort(first, kind="stable")
     first_sorted = first[by_window]
-    nodes = lattice.local.size
-    rows = max(1, BLOCK_NODES // nodes)
-    order = lattice.rule.nodes.size
-    reach = max(LATTICE_NODES // order, lattice.window) - lattice.window
-    weights = np.tile(lattice.rule.weights, lattice.window)
+    rows = max(1, BLOCK_NODES // curve.size)
+    reach = max(LATTICE_NODES // curve.order, curve.window) - curve.window
     start = 0
     while start < gammas.size:
-        lo = first_sorted[start]
+        lo = int(first_sorted[start])
         stop = int(np.searchsorted(first_sorted, lo + reach, side="right"))
-        values = lattice.span(lo, first_sorted[stop - 1] + lattice.window)
+        base = curve.keep(lo, int(first_sorted[stop - 1]) + curve.window)
         # Windows start on panel edges: every order-th sliding window.
-        views = [sliding_window_view(v, nodes)[::order] for v in values]
+        views = [sliding_window_view(curve.kept[n], curve.size)[base::curve.order]
+                 for n in names]
         for at in range(start, stop, rows):
             positions = by_window[at : min(at + rows, stop)]
             gamma = gammas[positions, None]
-            zeta = (first[positions, None] * lattice.width - gamma) + lattice.local
             offsets = first[positions] - lo
-            yield (positions, gamma, weights * phi(zeta), zeta,
+            curve.check(check, gamma, base + offsets * curve.order)
+            zeta = (first[positions, None] * curve.width - gamma) + curve.local
+            yield (positions, gamma, zeta, curve.weights * gauss._density(zeta),
                    *(view[offsets] for view in views))
         start = stop
 
@@ -373,9 +501,10 @@ def _row_sums(mass: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return np.matmul(mass[:, None, :], terms[:, :, None])[:, 0, 0]
 
 
-def _failure(gamma: np.ndarray, ok: np.ndarray, problem) -> RuntimeError:
+def _failure(gamma, ok: np.ndarray, problem) -> RuntimeError:
     """A RuntimeError naming the first gamma of a block whose row is not ok."""
-    return RuntimeError(f"evaluation failed at gamma = {gamma[np.argmin(ok), 0]}: {problem}")
+    return RuntimeError(f"evaluation failed at gamma = {np.ravel(gamma)[np.argmin(ok)]}: "
+                        f"{problem}")
 
 
 def _like(scenario: Scenario, values: np.ndarray) -> float | np.ndarray:
@@ -404,28 +533,30 @@ def _coverage(
     exactly flat in gamma, and the few 1e-15 of density mass beyond a
     window multiply only the departure.
     """
-    alpha = _check_alpha(alpha)
-    z_a = z_quantile(1.0 - 0.5 * alpha)
-    rho = scenario.rho
-    # The full-model interval covers with this probability given any h
-    # at rho = 0; only the departure from it is integrated.
-    nominal = Phi_interval(-z_a, z_a, 0.0, 1.0)
-    out = np.empty(np.size(scenario.gamma))
-    for positions, gamma, mass, zeta, shift, factor in _windows(scenario, spec, which):
-        half = z_a * factor
-        lower, upper = shift - half, shift + half
-        try:
-            terms = Phi_interval(lower, upper, rho * zeta, 1.0 - rho * rho)
-        except ValueError as exc:
-            ok = np.all(lower <= upper, axis=1)
-            raise (_failure(gamma, ok, exc) if not np.all(ok) else exc) from exc
-        cp = nominal + _row_sums(mass, terms - nominal)
+    curve = _curve_of(scenario, spec, _check_alpha(alpha), which)
+    if np.ndim(scenario.gamma) == 0:
+        return float(_covered(curve, float(scenario.gamma), np.empty(1))[0])
+    gammas = scenario.gamma
+    out = np.empty(gammas.size)
+    todo = curve.recall(gammas, out)
+    out[todo] = _covered(curve, gammas[todo], np.empty(todo.size))
+    curve.remember(gammas, out)
+    return out
+
+
+def _covered(curve: _Curve, gammas, out: np.ndarray) -> np.ndarray:
+    """_coverage of a float or an array of gammas on a prepared curve,
+    put in ``out``."""
+    for positions, gamma, zeta, mass, lower, upper in _windows(
+            curve, gammas, ("lower", "upper"), "ends"):
+        terms = gauss._interval(lower, upper, curve.rho * zeta, curve.sd)
+        cp = curve.nominal + _row_sums(mass, terms - curve.nominal)
         ok = (0.0 <= cp) & (cp <= 1.0)
-        if not np.all(ok):
+        if not ok.all():
             raise _failure(gamma, ok, f"coverage integrated to {cp[np.argmin(ok)]}, "
                                       "outside [0, 1]")
         out[positions] = cp
-    return _like(scenario, out)
+    return out
 
 
 def coverage_sd(scenario: Scenario, spec: PretestSpec, alpha: float) -> float | np.ndarray:
@@ -459,21 +590,21 @@ def coverage_pms(scenario: Scenario, spec: PretestSpec, alpha: float) -> float |
     the two strips beyond the cutoffs, each a difference of two
     bivariate orthants: near |rho| = 1 it can be far smaller than the
     rounding error of that subtraction.  Everything is computed with
-    |rho|, so the coverage is even in rho bit for bit, and with the
-    reflection-exact Phi_interval, so it is even in gamma bit for bit.
+    |rho|, so the coverage is even in rho bit for bit, and with
+    Phi_interval's reflection-exact formula, so it is even in gamma bit
+    for bit.
     At rho = 0 it is identically 1 - alpha.
     """
-    alpha = _check_alpha(alpha)
-    z_a = z_quantile(1.0 - 0.5 * alpha)
-    rho = abs(scenario.rho)
-    gamma = np.asarray(scenario.gamma, dtype=float)
-    d = spec.d
-    accept = Phi_interval(-d, d, gamma, 1.0)
-    narrow = Phi_interval(-z_a, z_a, rho * gamma / math.sqrt(1.0 - rho * rho), 1.0)
-    beyond = np.array([d - gamma, d + gamma])
-    strips = gauss.bvn_orthant(beyond, z_a, rho) - gauss.bvn_orthant(beyond, -z_a, rho)
-    cp = np.clip(accept * narrow + (strips[0] + strips[1]), 0.0, 1.0)
-    return float(cp) if np.ndim(scenario.gamma) == 0 else cp
+    curve = _curve_of(scenario, spec, _check_alpha(alpha), IntervalRule.PMS)
+    gamma = np.atleast_1d(np.asarray(scenario.gamma, dtype=float))
+    accept, narrow = gauss._interval(curve.lower, curve.upper,
+                                     np.array([gamma, curve.rho * gamma / curve.sd]), 1.0)
+    beyond = np.array([curve.d - gamma, curve.d + gamma])
+    # Both strip families, k = z_a and k = -z_a, in one call.
+    h = np.array([beyond, beyond])
+    orthants = gauss._orthant(h, np.zeros_like(h) + curve.corner, curve.rho)
+    strips = orthants[0] - orthants[1]
+    return _like(scenario, np.clip(accept * narrow + (strips[0] + strips[1]), 0.0, 1.0))
 
 
 _COVERAGE_BY_RULE = {
@@ -584,11 +715,10 @@ def _scaled_length(
     if not 0.0 < c_min < 1.0:
         raise ValueError(f"scaled expected length: c_min must be in (0, 1), got {c_min}")
     ratio = z_quantile(1.0 - 0.5 * alpha) / z_quantile(0.5 * (1.0 + c_min))
-    out = np.empty(np.size(scenario.gamma))
-    for positions, gamma, mass, _, _, factor in _windows(scenario, spec, which):
-        ok = np.all(np.isfinite(factor), axis=1)
-        if not np.all(ok):
-            raise _failure(gamma, ok, "length integrand produced a non-finite value")
+    curve = _curve_of(scenario, spec, alpha, which)
+    gammas = float(scenario.gamma) if np.ndim(scenario.gamma) == 0 else scenario.gamma
+    out = np.empty(np.size(gammas))
+    for positions, _, _, mass, factor in _windows(curve, gammas, ("factor",), "factor"):
         out[positions] = ratio * (1.0 + _row_sums(mass, factor - 1.0))
     return _like(scenario, out)
 

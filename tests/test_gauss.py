@@ -7,6 +7,7 @@ or an algorithm with the implementation under test.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -176,6 +177,15 @@ class TestPhiInterval:
         assert out.shape == (2,)
         assert out[0] == Phi_interval(-1.0, 1.0, 0.0, 1.0)
 
+    def test_infinite_endpoints(self):
+        # Whole line, empty at either end: no inf - inf is formed.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert Phi_interval(-math.inf, math.inf, 0.3, 2.0) == 1.0
+            assert Phi_interval(math.inf, math.inf, 0.3, 2.0) == 0.0
+            assert Phi_interval(-math.inf, -math.inf, 0.3, 2.0) == 0.0
+            assert Phi_interval(-math.inf, 0.3, 0.3, 2.0) == 0.5
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             Phi_interval(1.0, 0.0, 0.0, 1.0)
@@ -309,6 +319,21 @@ class TestBvnOrthant:
             want = self.reference(h, k, rho, center=h)
             assert 0.0 < want < 1e-9
             assert bvn_orthant(h, k, rho) == pytest.approx(want, rel=1e-5), (h, k, rho)
+
+    def test_diagonal_formula_runs_only_on_the_diagonal(self, monkeypatch):
+        h = np.array([0.0, 1.0, 2.0, -0.5])
+        k = np.array([0.0, 2.0, 2.0, 0.5])
+        want = bvn_orthant(h, k, 0.5)
+        sizes = []
+        diagonal = gauss._bvn_diagonal
+
+        def counted(corners, rho):
+            sizes.append(np.size(corners))
+            return diagonal(corners, rho)
+
+        monkeypatch.setattr(gauss, "_bvn_diagonal", counted)
+        assert np.array_equal(bvn_orthant(h, k, 0.5), want)
+        assert sizes == [2]
 
     def test_beyond_the_double_range_is_zero(self):
         assert bvn_orthant(3.94, 1.96, 0.999) == 0.0

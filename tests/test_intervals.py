@@ -228,6 +228,22 @@ def _edge_gammas(spec: PretestSpec, index: int) -> list[float]:
     return [float(on + off) for off in (0.0, 1e-12, -1e-12, 5e-13, -5e-13, 2e-11, -2e-11)]
 
 
+def _panel_edge_gammas(spec: PretestSpec, rho: float, near: float) -> list[float]:
+    """The least gamma whose window starts on the lattice panel edge
+    nearest ``near`` (the start (gamma - 8) / W reaches the edge's
+    index there), and the gammas one ulp either side of it."""
+    width, _ = intervals_mod._panel_width(rho, spec)
+    edge = round((near - gauss.HALF_WIDTH) / width)
+    g = gauss.HALF_WIDTH + edge * width
+    while (g - gauss.HALF_WIDTH) / width >= edge:
+        g = np.nextafter(g, -np.inf)
+    while (g - gauss.HALF_WIDTH) / width < edge:
+        g = np.nextafter(g, np.inf)
+    gammas = [float(np.nextafter(g, -np.inf)), float(g), float(np.nextafter(g, np.inf))]
+    assert [math.floor((x - gauss.HALF_WIDTH) / width) - edge for x in gammas] == [-1, 0, 0]
+    return gammas
+
+
 class TestBatchedGammas:
     """An array of gammas gives the per-gamma scalar values bit for bit."""
 
@@ -242,8 +258,12 @@ class TestBatchedGammas:
     @staticmethod
     def gammas(spec: PretestSpec) -> np.ndarray:
         # 81 points span three blocks; the edge cases sit in the middle.
+        # They put a window's start on a panel edge of the lattices of
+        # rho 0.7 and -0.999, or one ulp of gamma either side, where a
+        # scalar call's slice of the kept span moves by a whole panel.
         grid = list(np.arange(0.0, 12.01, 0.15))
-        grid[40:40] = [0.4] + _edge_gammas(spec, 24) + _edge_gammas(spec, 20)
+        grid[40:40] = [g for rho in (0.7, -0.999) for near in (1.9, 2.3)
+                       for g in _panel_edge_gammas(spec, rho, near)]
         # Windows of at least 41 panels of 10 nodes.
         assert len(grid) > 2 * (intervals_mod.BLOCK_NODES // 410)
         return np.array(grid)
@@ -386,8 +406,9 @@ class TestMinCoverage:
     @pytest.mark.parametrize("rule", [IntervalRule.SD, IntervalRule.SD_DELTA,
                                       IntervalRule.PMS])
     def test_golden_section_values_equal_fresh_scalar_calls(self, monkeypatch, rule):
-        # The refinement reads windows of the grid's lattice; a scalar
-        # call on an empty cache builds its own, with the same bits.
+        # The refinement reads its windows as slices of the span the
+        # grid's prepared curve kept; a scalar call on an empty cache
+        # prepares its own, with the same bits.
         seen = []
         cov = intervals_mod._COVERAGE_BY_RULE[rule]
 
@@ -401,8 +422,34 @@ class TestMinCoverage:
         rep = min_coverage(0.999, SPEC10, ALPHA, rule)
         assert len(seen) > 10 and rep.c_min == min(v for _, v in seen)
         for g, v in seen:
-            intervals_mod._lattice.cache_clear()
+            intervals_mod._prepared.cache_clear()
             assert cov(Scenario(g, 0.999), SPEC10, ALPHA) == v, g
+
+    #: (c_min, argmin_gamma) as the implementation that evaluated every
+    #: golden-section step through Phi_interval and bvn_orthant found
+    #: them, in hex: the prepared curves' slices must give the same bits.
+    PINNED = {
+        (0.37, "size0.1", "sd"): ("0x1.e491b23273929p-1", "0x1.2174b5cfe0b1cp+1"),
+        (0.37, "size0.1", "sd_delta"): ("0x1.e5346d31af357p-1", "0x1.f67bbed584201p+0"),
+        (0.37, "size0.1", "pms"): ("0x1.d93dd68c66c8ap-1", "0x1.cfeb8156b87cdp+0"),
+        (0.7, "size0.1", "sd"): ("0x1.dc64f92a9678cp-1", "0x1.22ef6d1feb52dp+1"),
+        (0.7, "size0.1", "sd_delta"): ("0x1.d8b4eb42590b8p-1", "0x1.dfd0f00a5c452p+0"),
+        (0.7, "size0.1", "pms"): ("0x1.941881ab70618p-1", "0x1.d0ad6cfedb7e5p+0"),
+        (-0.999, "size0.1", "sd"): ("0x1.c0317cf75fad5p-1", "0x1.f15609f7c746dp+0"),
+        (-0.999, "size0.1", "sd_delta"): ("0x1.8afda228da980p-1", "0x1.29db526702e08p+0"),
+        (-0.999, "size0.1", "pms"): ("0x1.e7ea8e1cfbf85p-5", "0x1.cac4b23316ab8p-3"),
+        (0.7, "d2", "sd"): ("0x1.d46e1e241bc17p-1", "0x1.1eba4902d8442p+1"),
+        (0.7, "d2", "sd_delta"): ("0x1.cec5d23d5f476p-1", "0x1.e6251a7be83adp+0"),
+        (0.7, "d2", "pms"): ("0x1.7322ba72a834dp-1", "0x1.fe8b92c766b5fp+0"),
+    }
+
+    @pytest.mark.parametrize("rho, pretest, rule", list(PINNED))
+    def test_pinned_bits(self, rho, pretest, rule):
+        spec = SPEC10 if pretest == "size0.1" else PretestSpec.from_cutoff(2.0)
+        rep = min_coverage(rho, spec, ALPHA, IntervalRule(rule))
+        c_min, argmin = self.PINNED[rho, pretest, rule]
+        assert rep.c_min == float.fromhex(c_min)
+        assert rep.argmin_gamma == float.fromhex(argmin)
 
     def test_full_model_has_no_curve(self):
         with pytest.raises(ValueError):
@@ -549,6 +596,101 @@ class TestCurve:
             c_min=0.9, argmin_gamma=1.0, search_grid_step=0.05, refinement_tolerance=1e-7))
         with pytest.raises(RuntimeError, match=f"gamma = {bad}: .*{message}"):
             curve(quantity, 0.7, SPEC10, ALPHA, gamma_max=2.0, step=0.625)
+
+
+class TestPreparedCurve:
+    """A scalar call reads its window as slices of the prepared curve's
+    kept span; an array call skips the gammas the last array held."""
+
+    @staticmethod
+    def bad_factor(monkeypatch, value):
+        # The factor turns ``value`` on the lattice panels past h = 8.4:
+        # at rho = 0.7 a window spans 41 panels 0.4 wide from
+        # floor((gamma - 8) / 0.4), so gamma 0.625 reaches them and 0.3
+        # does not.
+        geometry = kernel.RULES[IntervalRule.SD_DELTA]
+
+        def terms(h, rho, spec):
+            shift, factor = geometry.terms(h, rho, spec)
+            factor = np.array(factor, dtype=float)
+            factor[h > 8.4] = value
+            return shift, factor
+
+        monkeypatch.setitem(kernel.RULES, IntervalRule.SD_DELTA,
+                            dataclasses.replace(geometry, terms=terms))
+
+    @pytest.mark.parametrize("value, message", [
+        (math.nan, "NaN endpoint"),
+        (-0.5, "lower endpoint exceeds upper endpoint"),
+    ])
+    def test_scalar_window_with_a_bad_factor_names_its_gamma(self, monkeypatch, value, message):
+        self.bad_factor(monkeypatch, value)
+        fine = coverage_sd_delta(Scenario(0.3, 0.7), SPEC10, ALPHA)
+        assert 0.0 < fine < 1.0
+        with pytest.raises(RuntimeError, match=f"gamma = 0.625: {message}"):
+            coverage_sd_delta(Scenario(0.625, 0.7), SPEC10, ALPHA)
+        # The kept span now holds the bad nodes; a window that does not
+        # reach them still integrates.
+        assert coverage_sd_delta(Scenario(0.3, 0.7), SPEC10, ALPHA) == fine
+
+    def test_scalar_length_window_with_a_nan_factor_names_its_gamma(self, monkeypatch):
+        self.bad_factor(monkeypatch, math.nan)
+        assert sel_sd_delta(Scenario(0.3, 0.7), SPEC10, ALPHA, 0.9) > 0.0
+        with pytest.raises(RuntimeError, match="gamma = 0.625: length integrand produced "
+                                               "a non-finite value"):
+            sel_sd_delta(Scenario(0.625, 0.7), SPEC10, ALPHA, 0.9)
+
+    def test_array_evaluates_only_the_gammas_the_last_array_lacked(self, monkeypatch):
+        intervals_mod._prepared.cache_clear()
+        first = np.arange(201) * 0.05
+        later = np.arange(241) * 0.05
+        coverage_sd_delta(Scenario(first, 0.7), SPEC10, ALPHA)
+        rows = []
+        core = gauss._interval
+
+        def counted(lower, upper, mu, s):
+            rows.append(mu.shape[0])
+            return core(lower, upper, mu, s)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(gauss, "_interval", counted)
+            got = coverage_sd_delta(Scenario(later, 0.7), SPEC10, ALPHA)
+        assert sum(rows) == later.size - first.size
+        intervals_mod._prepared.cache_clear()
+        assert np.array_equal(got, coverage_sd_delta(Scenario(later, 0.7), SPEC10, ALPHA))
+
+    def test_pms_takes_both_strip_families_in_one_orthant_call(self, monkeypatch):
+        grid = np.array([0.0, 1.0, 2.5])
+        want = coverage_pms(Scenario(grid, 0.7), SPEC10, ALPHA)
+        calls = []
+        orthant = gauss._orthant
+
+        def counted(h, k, rho):
+            calls.append(h.shape)
+            return orthant(h, k, rho)
+
+        monkeypatch.setattr(gauss, "_orthant", counted)
+        assert np.array_equal(coverage_pms(Scenario(grid, 0.7), SPEC10, ALPHA), want)
+        assert coverage_pms(Scenario(1.0, 0.7), SPEC10, ALPHA) == want[1]
+        assert calls == [(2, 2, 3), (2, 2, 1)]
+
+    def test_a_window_next_to_the_kept_span_adds_only_its_panels(self, monkeypatch):
+        intervals_mod._prepared.cache_clear()
+        geometry = kernel.RULES[IntervalRule.SD_DELTA]
+        evaluated = []
+
+        def terms(h, rho, spec):
+            evaluated.append(h.size)
+            return geometry.terms(h, rho, spec)
+
+        monkeypatch.setitem(kernel.RULES, IntervalRule.SD_DELTA,
+                            dataclasses.replace(geometry, terms=terms))
+        # 41-panel windows of 10 nodes, 0.4 wide: gamma 1 and 2 start
+        # at panels -18 and -15, so the second adds three panels.
+        values = [coverage_sd_delta(Scenario(g, 0.7), SPEC10, ALPHA) for g in (1.0, 2.0)]
+        assert evaluated == [410, 30]
+        intervals_mod._prepared.cache_clear()
+        assert coverage_sd_delta(Scenario(2.0, 0.7), SPEC10, ALPHA) == values[1]
 
 
 class TestCurveTable:

@@ -2,7 +2,7 @@
 
     python3 tools/bench_compare.py --parent REV --change REV \
         --workload exact_sd:10 --workload delta_pms:3 --workload monte_carlo:3 \
-        --seed 6001 --out BENCH_6.json
+        --control 2 --seed 6001 --out BENCH_6.json
 
 Each side is exported into its own temporary directory by ``git
 archive``: of the revision, or for ``--change WORKTREE`` of a tree of
@@ -15,7 +15,13 @@ The output file records the machine, both versions, every run, and per
 workload and end-to-end metric the median and quartiles of each side,
 the pairs the change won (ties count for neither side) and whether the
 gain rule holds: at least nine tenths of the pairs won and the medians
-farther apart than the parent's quartiles.  It also records each
+farther apart than the parent's quartiles.  ``--control N`` gives
+each workload a noise floor: N more pairs, interleaved with the
+others, run the parent against a second export of the parent, on seeds
+after the workload's own.  They are summarized the same way under the
+workload's ``control``, and each metric records the control's
+absolute median change as ``noise_floor`` and whether its own median
+change is larger (``beyond_noise``).  It also records each
 side's ``correct`` and share of failed operations, and each side's
 accuracy block: over gamma 0 to 12 in steps of 0.05, the pretest of
 size 0.1 and rho in {0.7, 0.99, 0.999}, the largest distance of the
@@ -113,6 +119,29 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def with_noise_floor(metrics: dict, control: dict) -> None:
+    """Record each metric's noise floor from the control's summary."""
+    for name, row in metrics.items():
+        floor = control[name]["median_change"]
+        row["noise_floor"] = None if floor is None else abs(floor)
+        row["beyond_noise"] = (None if floor is None or row["median_change"] is None
+                               else abs(row["median_change"]) > abs(floor))
+
+
+def run_pair(sides: dict, command: list[str], workload: str, label: str, i: int, seed: int,
+             seconds: float) -> dict:
+    """Pair i of a workload on one seed; even pairs run the parent first."""
+    names = list(sides)
+    order = names if i % 2 == 0 else names[::-1]
+    pair = {"seed": seed, "first": order[0]}
+    for side in order:
+        pair[side] = run_once(sides[side], command, workload, seed, seconds)
+        print(f"{label} pair {i} seed {seed} {side}: "
+              f"correct={pair[side]['correct']} failed={pair[side]['failed']}",
+              file=sys.stderr, flush=True)
+    return pair
+
+
 def side_outcome(runs: list[dict]) -> dict:
     attempted = sum(r["attempted"] for r in runs)
     failed = sum(r["failed"] for r in runs)
@@ -188,6 +217,8 @@ def main(argv=None) -> int:
                         help="revision of the change side, or WORKTREE")
     parser.add_argument("--workload", action="append", required=True,
                         help="NAME:PAIRS, repeatable")
+    parser.add_argument("--control", type=int, default=0,
+                        help="parent-against-parent pairs per workload, for its noise floor")
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
     parser.add_argument("--out", required=True, help="output JSON file")
     args = parser.parse_args(argv)
@@ -202,6 +233,11 @@ def main(argv=None) -> int:
         sides = {"parent": pathlib.Path(tmp) / "parent", "change": pathlib.Path(tmp) / "change"}
         described = {side: export(rev, sides[side])
                      for side, rev in (("parent", args.parent), ("change", args.change))}
+        # The control compares the parent with a copy of itself, exported
+        # apart so that each run has a fresh directory, as the others do.
+        controls = {"parent": sides["parent"], "change": pathlib.Path(tmp) / "control"}
+        if args.control:
+            export(args.parent, controls["change"])
         workloads = {}
         result = {
             "machine": {"platform": platform.platform(), "machine": platform.machine(),
@@ -214,24 +250,28 @@ def main(argv=None) -> int:
             "workloads": workloads,
         }
         for name, count in plan:
-            pairs = []
-            for i in range(count):
-                seed = args.seed + i
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                pair = {"seed": seed, "first": order[0]}
-                for side in order:
-                    pair[side] = run_once(sides[side], spec["command"], name, seed,
-                                          spec["run_seconds"])
-                    print(f"{name} pair {i} seed {seed} {side}: "
-                          f"correct={pair[side]['correct']} failed={pair[side]['failed']}",
-                          file=sys.stderr, flush=True)
-                pairs.append(pair)
+            pairs, control = [], []
+            for i in range(max(count, args.control)):
+                if i < count:
+                    pairs.append(run_pair(sides, spec["command"], name, name, i,
+                                          args.seed + i, spec["run_seconds"]))
+                if i < args.control:
+                    control.append(run_pair(controls, spec["command"], name, f"{name} control",
+                                            i, args.seed + count + i, spec["run_seconds"]))
             workloads[name] = {
                 "metrics": summarize(pairs, spec["end_to_end"]),
                 "outcome": {side: side_outcome([p[side] for p in pairs])
                             for side in ("parent", "change")},
                 "runs": pairs,
             }
+            if control:
+                # The control's "change" side is the parent's copy.
+                workloads[name]["control"] = {
+                    "metrics": summarize(control, spec["end_to_end"]),
+                    "runs": control,
+                }
+                with_noise_floor(workloads[name]["metrics"],
+                                 workloads[name]["control"]["metrics"])
             # Written after every workload, so a long comparison that is
             # cut short keeps the workloads it finished.
             pathlib.Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
