@@ -359,6 +359,12 @@ def cmd_fit(config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _fmt_z(z: float) -> str:
+    # Three decimals: a z-score's finer digits are rounding noise.
+    text = format(z, ".3f")
+    return "0.000" if text == "-0.000" else text
+
+
 def _verify_z(diff: float, se: float) -> float:
     if se > 0.0:
         return diff / se
@@ -373,6 +379,8 @@ def cmd_verify(config: RunConfig) -> int:
     the smoothed estimate, and the empirical mean length ratio against
     their analytic counterparts, each as a z-score in Monte Carlo
     standard errors.  Fails (exit 3) if any |z| exceeds the tolerance.
+    Each z prints with three decimals (one that rounds to zero as
+    0.000); the tolerance is checked on the unrounded value.
     """
     rules = (IntervalRule.SD, IntervalRule.SD_DELTA)
     # One seed per (rho, gamma, rule), taken in the order the loops run.
@@ -432,12 +440,12 @@ def cmd_verify(config: RunConfig) -> int:
                     print(
                         f"gamma={_fmt(gamma)} rho={_fmt(rho)} rule={rule.value} "
                         f"stat={stat} analytic={_fmt(analytic)} mc={_fmt(mc)} "
-                        f"se={_fmt(se)} z={_fmt(z)}{flag}"
+                        f"se={_fmt(se)} z={_fmt_z(z)}{flag}"
                     )
     verdict = "PASS" if failures == 0 else "FAIL"
     print(
         f"verify {verdict}: {comparisons - failures}/{comparisons} comparisons within "
-        f"|z| <= {_fmt(config.tolerance)} (worst |z| = {_fmt(worst)}, "
+        f"|z| <= {_fmt(config.tolerance)} (worst |z| = {_fmt_z(worst)}, "
         f"replications = {config.replications})"
     )
     return EXIT_OK if failures == 0 else EXIT_VERIFY

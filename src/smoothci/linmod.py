@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .kernel import FittedModel
 
@@ -122,6 +121,10 @@ def fit(data: Dataset) -> FittedModel:
     their normalized cross term, clipped into [-1, 1] against rounding;
     gamma_hat standardizes tau_hat by its known standard deviation.
     """
+    # Imported here so that importing the package leaves scipy.linalg,
+    # which only this fit needs, unloaded.
+    from scipy.linalg import solve_triangular
+
     Q, R = _qr(data)
     beta = solve_triangular(R, Q.T @ data.y)
     u_a = solve_triangular(R, data.theta_vec, trans="T")

@@ -19,8 +19,11 @@ the integrals.
 Reproducibility contract: a SimPlan pins the full output.  Draws are
 generated in fixed-size chunks, each from its own Philox substream
 spawned off the plan seed, and chunk results are reduced in index
-order.  Parallel evaluation of chunks would produce the same summary;
-nothing depends on thread count or scheduling.
+order.  Within a chunk the pair comes first; with bootstrap_B > 0 the
+resamples follow in blocks of rows, and each block takes all of its
+first plane z0 (rows x B normals) before all of its second plane z1.
+Parallel evaluation of chunks would produce the same summary; nothing
+depends on thread count or scheduling.
 """
 
 from __future__ import annotations
@@ -47,7 +50,16 @@ CHUNK = 8192
 DEFAULT_REPLICATIONS = 1_000_000
 SMOKE_REPLICATIONS = 10_000
 
+#: Resamples per block of the finite-B centers: a block has
+#: rows = max(1, _MAX_BOOT_BLOCK // B) rows of B resamples.  Part of
+#: the output contract, like CHUNK: changing it reorders the stream.
+#: One block's z0, at most max(_MAX_BOOT_BLOCK, B) doubles (16 MiB at
+#: B <= 2^21), is the largest array a finite-B chunk holds.
 _MAX_BOOT_BLOCK = 1 << 21
+
+#: Resamples per slice of z1, in whole rows and at least one: z1 and
+#: every temporary built from it hold at most max(_BOOT_SLICE, B) values.
+_BOOT_SLICE = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -187,17 +199,30 @@ def _centers_finite_B(
     B: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Finite-B smoothed centers for a whole chunk, blockwise in memory."""
+    """Finite-B smoothed centers for a whole chunk, blockwise in memory.
+
+    Each block draws its z0 into one buffer that every block reuses,
+    then its z1 one slice of rows at a time; each slice forms its rows'
+    resampled pairs and their means.  Only one z0 block and one slice's
+    temporaries are alive at once.
+    """
     m = theta_std.size
     out = np.empty(m)
-    rows = max(1, _MAX_BOOT_BLOCK // B)
+    rows = min(m, max(1, _MAX_BOOT_BLOCK // B))
+    step = max(1, _BOOT_SLICE // B)
     sq = math.sqrt(1.0 - rho * rho)
+    block = np.empty((rows, B))
     for start in range(0, m, rows):
         stop = min(start + rows, m)
-        z = rng.standard_normal((2, stop - start, B))
-        gamma_star = gamma_hat[start:stop, None] + z[0]
-        theta_star = theta_std[start:stop, None] + rho * z[0] + sq * z[1]
-        out[start:stop] = np.mean(theta_star - _PMS_SHIFT(gamma_star, rho, spec), axis=1)
+        z0 = block[: stop - start]
+        rng.standard_normal(out=z0)
+        for lo in range(start, stop, step):
+            hi = min(lo + step, stop)
+            z0s = z0[lo - start : hi - start]
+            z1 = rng.standard_normal((hi - lo, B))
+            gamma_star = gamma_hat[lo:hi, None] + z0s
+            theta_star = theta_std[lo:hi, None] + rho * z0s + sq * z1
+            out[lo:hi] = np.mean(theta_star - _PMS_SHIFT(gamma_star, rho, spec), axis=1)
     return out
 
 

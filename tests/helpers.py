@@ -1,4 +1,4 @@
-"""Quadrature helpers that only the tests use.
+"""Quadrature and simulation helpers that only the tests use.
 
 ``breakpoint_rule`` is a composite Gauss-Legendre rule with extra
 panel edges where an integrand jumps, ``integrate_against_shifted_normal``
@@ -6,6 +6,8 @@ composes an arbitrary integrand with it, ``h_quadrature`` integrates the
 coverage and length of any interval rule with one such rule in h,
 ``kernel_moments`` gives the moments of the smoothing kernel under a
 shifted normal that r is built from, and ``m_k`` is the first of them.
+``centers_finite_B_whole_blocks`` is the oracle's finite-B chunk path
+with each block drawn and reduced in one piece.
 The tests use them as independent routes to quantities the package
 computes in closed form or on its own lattice.  Against h_quadrature
 the package's five coverage and length functionals agree to within
@@ -18,7 +20,7 @@ from typing import Callable, Iterable
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from smoothci import gauss, kernel
+from smoothci import gauss, kernel, oracle
 from smoothci.gauss import QuadratureRule, phi, quadrature_rule
 from smoothci.kernel import IntervalRule, PretestSpec, k
 
@@ -195,3 +197,31 @@ def m_k(
         raise ValueError("m_k: gamma must be finite")
     mk, _, _ = kernel_moments(g, spec, panels, order)
     return float(mk[0]) if np.isscalar(gamma) or np.asarray(gamma).ndim == 0 else mk
+
+
+def centers_finite_B_whole_blocks(
+    theta_std: np.ndarray,
+    gamma_hat: np.ndarray,
+    rho: float,
+    spec: PretestSpec,
+    B: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Finite-B smoothed centers, one (2, rows, B) draw per block.
+
+    The same stream order and expressions as
+    ``oracle._centers_finite_B``, with both planes of a block and all
+    their temporaries held at once.
+    """
+    m = theta_std.size
+    out = np.empty(m)
+    rows = max(1, oracle._MAX_BOOT_BLOCK // B)
+    sq = math.sqrt(1.0 - rho * rho)
+    for start in range(0, m, rows):
+        stop = min(start + rows, m)
+        z = rng.standard_normal((2, stop - start, B))
+        gamma_star = gamma_hat[start:stop, None] + z[0]
+        theta_star = theta_std[start:stop, None] + rho * z[0] + sq * z[1]
+        out[start:stop] = np.mean(theta_star - kernel._pms_shift(gamma_star, rho, spec),
+                                  axis=1)
+    return out

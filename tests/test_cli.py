@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface, run as subprocesses."""
 
+import re
 import subprocess
 import sys
 
@@ -208,6 +209,15 @@ class TestVerify:
         # 2000 replications leave the sd comparison visibly wide
         assert any("(wide se)" in ln for ln in lines)
         assert lines[-1].startswith("verify PASS: 54/54 comparisons within |z| <= 50")
+        # z-scores print with three decimals, and one that rounds to
+        # zero, as at rho = 0 where the length ratio is exact, as 0.000
+        zs = [re.search(r" z=(\S+)", ln).group(1) for ln in lines[:-1]]
+        assert all(re.fullmatch(r"-?\d+\.\d{3}", z) for z in zs)
+        assert "-0.000" not in zs
+        rho0_ratios = [ln for ln in lines if " rho=0 " in ln and "stat=length_ratio" in ln]
+        assert len(rho0_ratios) == 6
+        assert all(ln.endswith(" z=0.000") for ln in rho0_ratios)
+        assert re.search(r"\(worst \|z\| = \d+\.\d{3}, ", lines[-1])
 
     def test_tiny_tolerance_fails_with_exit_3(self):
         res = cli("verify", "--reps", "2000", "--seed", "9", "--tolerance", "0.001")

@@ -1,10 +1,13 @@
 """Tests for the least-squares front end and the CSV loaders."""
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import src_env
 
 from smoothci.linmod import (
     Dataset,
@@ -272,3 +275,13 @@ class TestLoaders:
         fm = fit(data)
         assert fm.sigma == 1.5
         assert fm.theta_hat == pytest.approx(fit(make_dataset()).theta_hat, abs=1e-14)
+
+
+def test_importing_the_package_leaves_scipy_linalg_unloaded():
+    # fit imports its triangular solver when it runs, so the commands
+    # that never fit start without loading scipy.linalg.
+    probe = "import sys, smoothci; print('scipy.linalg' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=src_env())
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"

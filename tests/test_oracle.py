@@ -8,9 +8,11 @@ through the public construction.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import centers_finite_B_whole_blocks
 
 import smoothci.kernel as kernel_mod
 from smoothci.gauss import z_quantile
@@ -20,6 +22,7 @@ from smoothci.oracle import (
     CHUNK,
     SimPlan,
     SimSummary,
+    _centers_finite_B,
     run,
     simulate_pair,
     smoothed_estimate_finite_B,
@@ -101,6 +104,52 @@ class TestFiniteB:
             want = float(np.mean(star - pms_terms(gamma + z[0], rho, SPEC10)[0]))
             assert got == want, (seed, B)
             assert rng.standard_normal() == ref.standard_normal()
+
+    # (m, B): one row; slices that do not divide the block; several
+    # blocks per chunk (B >= 257 at m = CHUNK); B at and above the
+    # slice size, one row per slice.
+    WHOLE_BLOCK_CASES = [(1, 1), (1, 100), (1, 4097), (5, 3), (1000, 100), (CHUNK, 1),
+                         (CHUNK, 100), (CHUNK, 257), (3000, 1000), (70, 32768),
+                         (70, 32769), (40, 70000)]
+
+    @staticmethod
+    def assert_same_as_whole_blocks(m, B, pick):
+        theta, gamma = pick.normal(size=m), 3.0 * pick.normal(size=m)
+        rho = float(pick.uniform(-0.999, 0.999))
+        seed = int(pick.integers(0, 2**32))
+        rng = np.random.Generator(np.random.Philox(seed))
+        ref = np.random.Generator(np.random.Philox(seed))
+        got = _centers_finite_B(theta, gamma, rho, SPEC10, B, rng)
+        want = centers_finite_B_whole_blocks(theta, gamma, rho, SPEC10, B, ref)
+        assert got.tobytes() == want.tobytes(), (m, B, seed)
+        assert rng.standard_normal() == ref.standard_normal(), (m, B, seed)
+
+    @pytest.mark.parametrize("m, B", WHOLE_BLOCK_CASES)
+    def test_slices_equal_whole_block_draws(self, m, B):
+        # Streaming z1 in slices into a reused z0 buffer keeps every
+        # center and the stream's end bit for bit.
+        self.assert_same_as_whole_blocks(m, B, np.random.default_rng(m * 100_003 + B))
+
+    def test_slices_equal_whole_block_draws_at_random_sizes(self):
+        pick = np.random.default_rng(29)
+        for _ in range(40):
+            m, B = int(pick.integers(1, 300)), int(pick.integers(1, 4000))
+            self.assert_same_as_whole_blocks(m, B, pick)
+
+    def test_peak_memory_is_about_one_z0_block(self):
+        # One z0 block of a full chunk is CHUNK x B doubles; the whole-
+        # block draw held both planes and five temporaries of its size.
+        m, B = CHUNK, 100
+        pick = np.random.default_rng(3)
+        theta, gamma = pick.normal(size=m), pick.normal(size=m)
+        rng = np.random.Generator(np.random.Philox(5))
+        tracemalloc.start()
+        try:
+            _centers_finite_B(theta, gamma, 0.7, SPEC10, B, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * m * B * 8
 
     def test_rho_zero_reduces_to_mean_resample(self):
         # no correlation means no adjustment: the average converges to
