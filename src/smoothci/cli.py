@@ -22,6 +22,7 @@ import argparse
 import dataclasses
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,10 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERIC = 2
 EXIT_VERIFY = 3
+#: Exit status of the ``smoothci`` program (not of ``main``) when the
+#: reader of stdout closes it early: 128 + SIGPIPE, as a shell reports
+#: a filter that SIGPIPE ended.
+EXIT_BROKEN_PIPE = 141
 
 #: Fixed comparison grid of the verification suite.
 VERIFY_GAMMAS = (0.0, 1.0, 3.0)
@@ -101,80 +106,104 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _build_parser() -> _Parser:
+def _add_pretest(p: _Parser) -> None:
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--pretest-size", type=float, default=None,
+                       help="size of the preliminary test "
+                            f"(default {DEFAULT_PRETEST_SIZE:g})")
+    group.add_argument("--cutoff-d", type=float, default=None,
+                       help="cutoff d of the preliminary test (alternative to --pretest-size)")
+    p.add_argument("--alpha", type=float, default=RunConfig.alpha,
+                   help="1 - nominal coverage (default %(default)g)")
+
+
+def _add_grid(p: _Parser) -> None:
+    p.add_argument("--gamma-max", type=float, default=RunConfig.gamma_max)
+    p.add_argument("--step", type=float, default=RunConfig.step)
+
+
+def _curve_flags(p: _Parser) -> None:
+    p.add_argument("--quantity", required=True, choices=[q.value for q in Quantity])
+    p.add_argument("--rho", type=float, required=True)
+    _add_pretest(p)
+    _add_grid(p)
+    p.add_argument("--out", default=None, help="output CSV path (default stdout)")
+
+
+def _figure1_flags(p: _Parser) -> None:
+    p.add_argument("--rho", type=float, default=0.7)
+    _add_pretest(p)
+    _add_grid(p)
+    p.add_argument("--out", default="figure1",
+                   help="output prefix; writes PREFIX_top.csv and PREFIX_bottom.csv")
+
+
+def _cmin_flags(p: _Parser) -> None:
+    p.add_argument("--rho", type=float, required=True)
+    _add_pretest(p)
+    p.add_argument("--rules", default="sd,sd_delta,pms",
+                   help="comma-separated rules (default %(default)s)")
+    p.add_argument("--out", default=None, help="optional CSV path")
+
+
+def _fit_flags(p: _Parser) -> None:
+    p.add_argument("--design", required=True)
+    p.add_argument("--response", required=True)
+    p.add_argument("--theta-vec", required=True)
+    p.add_argument("--tau-vec", required=True)
+    p.add_argument("--sigma", type=float, required=True)
+    p.add_argument("--header", action="store_true",
+                   help="input CSV files carry a header row")
+    _add_pretest(p)
+
+
+def _verify_flags(p: _Parser) -> None:
+    _add_pretest(p)
+    p.add_argument("--reps", type=int, dest="replications", metavar="REPS",
+                   default=RunConfig.replications)
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
+    p.add_argument("--tolerance", type=float, default=RunConfig.tolerance,
+                   help="|z| threshold for each comparison (default %(default)g)")
+
+
+def _build_parser(commands: Iterable[str]) -> _Parser:
+    """The parser with the subparsers of ``commands`` registered, in order.
+
+    ``main`` registers only the invoked subcommand, as the others cannot
+    change how its arguments parse; without one (no command, an unknown
+    one, ``-h``) it registers all, for the top-level help and errors.
+    """
     parser = _Parser(prog="smoothci", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", required=True)
     defaults = {field.name: field.default for field in dataclasses.fields(RunConfig)
                 if field.default is not dataclasses.MISSING}
-
-    def add_command(name: str, summary: str) -> _Parser:
+    for name in commands:
+        _, summary, add_flags = _COMMANDS[name]
         p = sub.add_parser(name, help=summary)
         p.set_defaults(**defaults)
-        return p
-
-    def add_pretest(p: _Parser) -> None:
-        group = p.add_mutually_exclusive_group()
-        group.add_argument("--pretest-size", type=float, default=None,
-                           help="size of the preliminary test "
-                                f"(default {DEFAULT_PRETEST_SIZE:g})")
-        group.add_argument("--cutoff-d", type=float, default=None,
-                           help="cutoff d of the preliminary test (alternative to --pretest-size)")
-        p.add_argument("--alpha", type=float, default=RunConfig.alpha,
-                       help="1 - nominal coverage (default %(default)g)")
-
-    def add_grid(p: _Parser) -> None:
-        p.add_argument("--gamma-max", type=float, default=RunConfig.gamma_max)
-        p.add_argument("--step", type=float, default=RunConfig.step)
-
-    p_curve = add_command("curve", "tabulate one quantity over a gamma grid")
-    p_curve.add_argument("--quantity", required=True,
-                         choices=[q.value for q in Quantity])
-    p_curve.add_argument("--rho", type=float, required=True)
-    add_pretest(p_curve)
-    add_grid(p_curve)
-    p_curve.add_argument("--out", default=None, help="output CSV path (default stdout)")
-
-    p_fig = add_command("figure1", "emit the two-panel headline dataset")
-    p_fig.add_argument("--rho", type=float, default=0.7)
-    add_pretest(p_fig)
-    add_grid(p_fig)
-    p_fig.add_argument("--out", default="figure1",
-                       help="output prefix; writes PREFIX_top.csv and PREFIX_bottom.csv")
-
-    p_cmin = add_command("cmin", "minimum coverage report per rule")
-    p_cmin.add_argument("--rho", type=float, required=True)
-    add_pretest(p_cmin)
-    p_cmin.add_argument("--rules", default="sd,sd_delta,pms",
-                        help="comma-separated rules (default %(default)s)")
-    p_cmin.add_argument("--out", default=None, help="optional CSV path")
-
-    p_fit = add_command("fit", "fit CSV data and print the four intervals")
-    p_fit.add_argument("--design", required=True)
-    p_fit.add_argument("--response", required=True)
-    p_fit.add_argument("--theta-vec", required=True)
-    p_fit.add_argument("--tau-vec", required=True)
-    p_fit.add_argument("--sigma", type=float, required=True)
-    p_fit.add_argument("--header", action="store_true",
-                       help="input CSV files carry a header row")
-    add_pretest(p_fit)
-
-    p_verify = add_command("verify", "Monte Carlo vs analytic agreement suite")
-    add_pretest(p_verify)
-    p_verify.add_argument("--reps", type=int, dest="replications", metavar="REPS",
-                          default=RunConfig.replications)
-    p_verify.add_argument("--seed", type=int, default=RunConfig.seed)
-    p_verify.add_argument("--tolerance", type=float, default=RunConfig.tolerance,
-                          help="|z| threshold for each comparison (default %(default)g)")
+        add_flags(p)
     return parser
 
 
+def _beyond_precision(flag: str, value: float, exc: ValueError) -> CLIError:
+    # A value inside the flag's domain whose conversion still fails: the
+    # double-precision arithmetic of that conversion is what runs out.
+    return CLIError(f"{flag} {value} is outside what double precision resolves: {exc}")
+
+
 def _resolve_spec(args: argparse.Namespace) -> PretestSpec:
+    if args.cutoff_d is not None:
+        flag, value, make = "--cutoff-d", args.cutoff_d, PretestSpec.from_cutoff
+        in_domain = math.isfinite(value) and value > 0.0
+    else:
+        size = DEFAULT_PRETEST_SIZE if args.pretest_size is None else args.pretest_size
+        flag, value, make = "--pretest-size", size, PretestSpec.from_size
+        in_domain = 0.0 < size < 1.0
     try:
-        if args.cutoff_d is not None:
-            return PretestSpec.from_cutoff(args.cutoff_d)
-        size = args.pretest_size
-        return PretestSpec.from_size(DEFAULT_PRETEST_SIZE if size is None else size)
+        return make(value)
     except ValueError as exc:
+        if in_domain:
+            raise _beyond_precision(flag, value, exc) from exc
         raise CLIError(str(exc)) from exc
 
 
@@ -183,6 +212,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     alpha = float(args.alpha)
     if not 0.0 < alpha < 1.0:
         raise CLIError(f"--alpha must be in (0, 1), got {alpha}")
+    try:
+        z_quantile(1.0 - 0.5 * alpha)
+    except ValueError as exc:
+        raise _beyond_precision("--alpha", alpha, exc) from exc
 
     rho = float(args.rho)
     gamma_max = float(args.gamma_max)
@@ -451,21 +484,24 @@ def cmd_verify(config: RunConfig) -> int:
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 
+#: Subcommand name -> (handler, help summary, flag builder), in the
+#: order ``smoothci -h`` lists them.
 _COMMANDS = {
-    "curve": cmd_curve,
-    "figure1": cmd_figure1,
-    "cmin": cmd_cmin,
-    "fit": cmd_fit,
-    "verify": cmd_verify,
+    "curve": (cmd_curve, "tabulate one quantity over a gamma grid", _curve_flags),
+    "figure1": (cmd_figure1, "emit the two-panel headline dataset", _figure1_flags),
+    "cmin": (cmd_cmin, "minimum coverage report per rule", _cmin_flags),
+    "fit": (cmd_fit, "fit CSV data and print the four intervals", _fit_flags),
+    "verify": (cmd_verify, "Monte Carlo vs analytic agreement suite", _verify_flags),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS)
     try:
         args = parser.parse_args(argv)
         config = _config_from_args(args)
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[config.command][0](config)
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -174,44 +174,53 @@ def residual_check(data: Dataset, fit_result: FittedModel) -> ResidualDiagnostic
     )
 
 
-def _parse_rows(path: str, header: bool) -> list[list[float]]:
-    rows: list[list[float]] = []
+def _parse_rows(path: str, header: bool) -> np.ndarray:
+    """The numbers of a CSV file as a rows x columns float array.
+
+    Each row converts in one call.  Only a row that fails it is looked
+    at cell by cell: a row whose cells are all blank is skipped (a
+    blank cell never parses), any other names its first bad cell.
+    """
+    flat: list[float] = []
     width = None
     with open(path, newline="") as handle:
         for lineno, row in enumerate(csv.reader(handle), start=1):
-            if lineno == 1 and header:
+            if not row or (lineno == 1 and header):
                 continue
-            if not row or all(cell.strip() == "" for cell in row):
-                continue
-            vals = []
-            for colno, cell in enumerate(row, start=1):
-                try:
-                    vals.append(float(cell))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: line {lineno}, column {colno}: "
-                        f"cannot parse {cell.strip()!r} as a number"
-                    ) from None
+            try:
+                vals = list(map(float, row))
+            except ValueError:
+                if all(cell.strip() == "" for cell in row):
+                    continue
+                for colno, cell in enumerate(row, start=1):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise ValueError(
+                            f"{path}: line {lineno}, column {colno}: "
+                            f"cannot parse {cell.strip()!r} as a number"
+                        ) from None
+                raise
             if width is None:
                 width = len(vals)
             elif len(vals) != width:
                 raise ValueError(
                     f"{path}: line {lineno}: expected {width} columns, got {len(vals)}"
                 )
-            rows.append(vals)
-    if not rows:
+            flat += vals
+    if width is None:
         raise ValueError(f"{path}: no data rows")
-    return rows
+    return np.array(flat).reshape(-1, width)
 
 
 def load_matrix(path: str, *, header: bool = False) -> np.ndarray:
     """Read a CSV file of numbers, one matrix row per line."""
-    return np.array(_parse_rows(path, header), dtype=float)
+    return _parse_rows(path, header)
 
 
 def load_vector(path: str, *, header: bool = False) -> np.ndarray:
     """Read a CSV file holding a vector, as either one column or one row."""
-    mat = np.array(_parse_rows(path, header), dtype=float)
+    mat = _parse_rows(path, header)
     if mat.shape[0] == 1 or mat.shape[1] == 1:
         return mat.reshape(-1)
     raise ValueError(

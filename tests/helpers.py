@@ -7,13 +7,15 @@ coverage and length of any interval rule with one such rule in h,
 ``kernel_moments`` gives the moments of the smoothing kernel under a
 shifted normal that r is built from, and ``m_k`` is the first of them.
 ``centers_finite_B_whole_blocks`` is the oracle's finite-B chunk path
-with each block drawn and reduced in one piece.
+with each block drawn and reduced in one piece, and ``parse_rows_by_cell``
+the CSV loader that converts and checks one cell at a time.
 The tests use them as independent routes to quantities the package
 computes in closed form or on its own lattice.  Against h_quadrature
 the package's five coverage and length functionals agree to within
 5e-15 at the cutoffs 1.645, 2 and 10 and |rho| from 0.7 to RHO_MAX.
 """
 
+import csv
 import math
 from typing import Callable, Iterable
 
@@ -225,3 +227,39 @@ def centers_finite_B_whole_blocks(
         out[start:stop] = np.mean(theta_star - kernel._pms_shift(gamma_star, rho, spec),
                                   axis=1)
     return out
+
+
+def parse_rows_by_cell(path: str, header: bool) -> list[list[float]]:
+    """The rows of numbers in a CSV file, each cell converted on its own.
+
+    ``linmod._parse_rows`` converts a row in one call and looks at its
+    cells only when that fails; this loop is the reference it must
+    match, in values, skipped rows and error messages.
+    """
+    rows: list[list[float]] = []
+    width = None
+    with open(path, newline="") as handle:
+        for lineno, row in enumerate(csv.reader(handle), start=1):
+            if lineno == 1 and header:
+                continue
+            if not row or all(cell.strip() == "" for cell in row):
+                continue
+            vals = []
+            for colno, cell in enumerate(row, start=1):
+                try:
+                    vals.append(float(cell))
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: line {lineno}, column {colno}: "
+                        f"cannot parse {cell.strip()!r} as a number"
+                    ) from None
+            if width is None:
+                width = len(vals)
+            elif len(vals) != width:
+                raise ValueError(
+                    f"{path}: line {lineno}: expected {width} columns, got {len(vals)}"
+                )
+            rows.append(vals)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return rows

@@ -8,7 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import src_env
+from helpers import parse_rows_by_cell
 
+from smoothci import linmod
 from smoothci.linmod import (
     Dataset,
     SingularDesignError,
@@ -276,6 +278,79 @@ class TestLoaders:
         assert fm.sigma == 1.5
         assert fm.theta_hat == pytest.approx(fit(make_dataset()).theta_hat, abs=1e-14)
 
+
+#: (name, file text, header): the loader's corpus, good and bad files.
+LOADER_CORPUS = [
+    ("quoted", '"1.5","-2"\n"3e2",4\n', False),
+    ("quoted_comma", '"1,5",2\n', False),
+    ("quoted_newline_then_bad_cell", '"1\n",2\n3,x\n', False),
+    ("crlf", "1,2\r\n3,4\r\n", False),
+    ("no_final_newline", "1,2\n3,4", False),
+    ("blank_and_comma_rows", "\n1,2\n\n,\n3,4\n,,\n\n", False),
+    ("whitespace_cells", " 1 ,\t2\n  ,  \n3, 4 \n", False),
+    ("whitespace_cell_among_numbers", "1,2\n3,  \n", False),
+    ("header_skipped", "x1,x2\n1,2\n3,4\n", True),
+    ("header_not_skipped", "x1,x2\n1,2\n3,4\n", False),
+    ("header_only", "x1,x2\n", True),
+    ("blank_first_line_as_header", "\n1,2\n", True),
+    ("ragged", "1,2\n3\n", False),
+    ("ragged_wide", "1\n2,3\n", False),
+    ("bad_cell", "1,2\n3,oops\n", False),
+    ("bad_and_ragged", "1,2\n3,x,5\n", False),
+    ("empty", "", False),
+    ("only_blank_rows", "\n,\n  \n", False),
+    ("nan_inf", "nan,inf\n-inf,-nan\n1e400,-0.0\n", False),
+    ("column", "1\n2\n3\n", False),
+]
+
+
+def _load_both(path, header):
+    """The reference's outcome and the loader's: an array or (type, message)."""
+    outcomes = []
+    for load in (lambda: np.array(parse_rows_by_cell(path, header), dtype=float),
+                 lambda: linmod._parse_rows(path, header)):
+        try:
+            outcomes.append(load())
+        except Exception as exc:  # noqa: BLE001 - the type is compared
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestLoaderAgainstCellByCell:
+    """``linmod._parse_rows`` against the cell-by-cell loop it replaced."""
+
+    @pytest.mark.parametrize("name,text,header", LOADER_CORPUS,
+                             ids=[case[0] for case in LOADER_CORPUS])
+    def test_corpus(self, tmp_path, name, text, header):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(text.encode())
+        ref, new = _load_both(str(path), header)
+        if isinstance(ref, tuple):
+            assert new == ref
+        else:
+            assert _same_bits(new, ref)
+            assert _same_bits(load_matrix(str(path), header=header), ref)
+
+    def test_vectors(self, tmp_path):
+        for text in ("1\n2\n3\n", "1,2,3\n", '"4"\r\n\r\n5\r\n'):
+            path = tmp_path / "v.csv"
+            path.write_bytes(text.encode())
+            ref = np.array(parse_rows_by_cell(str(path), False), dtype=float).reshape(-1)
+            assert _same_bits(load_vector(str(path)), ref)
+
+    def test_seeded_benchmark_shaped_file(self, tmp_path):
+        # 4000 x 8 at %+.17e: every double round-trips through its text.
+        rng = np.random.default_rng(20161031)
+        X = rng.standard_normal((4000, 8)) * np.exp(rng.uniform(-30, 30, (4000, 8)))
+        path = tmp_path / "X.csv"
+        np.savetxt(path, X, fmt="%+.17e", delimiter=",")
+        ref, new = _load_both(str(path), False)
+        assert _same_bits(new, ref)
+        assert _same_bits(new, X)
 
 def test_importing_the_package_leaves_scipy_linalg_unloaded():
     # fit imports its triangular solver when it runs, so the commands
