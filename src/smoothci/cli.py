@@ -398,10 +398,11 @@ def _fmt_z(z: float) -> str:
     return "0.000" if text == "-0.000" else text
 
 
-def _verify_z(diff: float, se: float) -> float:
-    if se > 0.0:
-        return diff / se
-    return 0.0 if abs(diff) <= 1e-9 else math.inf
+def _verify_z(diff: float, se: float, analytic: float) -> float:
+    """diff in Monte Carlo standard errors, widened by the analytic side's
+    documented 1e-9 accuracy (relative above 1), so a Monte Carlo value
+    with no spread at all is compared within that accuracy."""
+    return diff / math.hypot(se, 1e-9 * max(1.0, abs(analytic)))
 
 
 def cmd_verify(config: RunConfig) -> int:
@@ -461,7 +462,7 @@ def cmd_verify(config: RunConfig) -> int:
                     ("length_ratio", sel_true[g_idx], ratio, ratio_se),
                 )
                 for stat, analytic, mc, se in checks:
-                    z = _verify_z(mc - analytic, se)
+                    z = _verify_z(mc - analytic, se, analytic)
                     comparisons += 1
                     worst = max(worst, abs(z))
                     flag = ""

@@ -18,17 +18,24 @@ the integrals.
 
 Reproducibility contract: a SimPlan pins the full output.  Draws are
 generated in fixed-size chunks, each from its own Philox substream
-spawned off the plan seed, and chunk results are reduced in index
-order.  Within a chunk the pair comes first; with bootstrap_B > 0 the
-resamples follow in blocks of rows, and each block takes all of its
-first plane z0 (rows x B normals) before all of its second plane z1.
-Parallel evaluation of chunks would produce the same summary; nothing
-depends on thread count or scheduling.
+spawned off the plan seed.  Within a chunk the pair comes first; with
+bootstrap_B > 0 the resamples follow in blocks of rows, and each block
+takes all of its first plane z0 (rows x B normals) before all of its
+second plane z1.  Each chunk reduces its own draws to partial sums, and
+run adds the chunks' partials in chunk index order.  The chunks run on
+a small thread pool, one worker per usable CPU up to _MAX_THREADS
+(numpy and scipy release the interpreter lock in their array loops),
+but since every float addition across chunks happens in that fixed
+order, nothing depends on thread count or scheduling: the summary is
+the one-thread summary bit for bit.  Finite-B chunks run one at a
+time, for the memory reason given at _MAX_BOOT_BLOCK.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,12 +61,47 @@ SMOKE_REPLICATIONS = 10_000
 #: rows = max(1, _MAX_BOOT_BLOCK // B) rows of B resamples.  Part of
 #: the output contract, like CHUNK: changing it reorders the stream.
 #: One block's z0, at most max(_MAX_BOOT_BLOCK, B) doubles (16 MiB at
-#: B <= 2^21), is the largest array a finite-B chunk holds.
+#: B <= 2^21), is the largest array a finite-B chunk holds.  That is
+#: why finite-B chunks run one at a time: on a thread pool every worker
+#: would hold a block of its own, up to _MAX_THREADS times 16 MiB.
 _MAX_BOOT_BLOCK = 1 << 21
 
 #: Resamples per slice of z1, in whole rows and at least one: z1 and
 #: every temporary built from it hold at most max(_BOOT_SLICE, B) values.
 _BOOT_SLICE = 1 << 15
+
+#: Most worker threads one run uses.  It bounds the chunks in flight,
+#: and so their memory: one exact-SD chunk peaks at about 3 MiB.
+_MAX_THREADS = 4
+
+
+def _usable_cpus() -> list[int]:
+    """The CPUs this process may run on, in order."""
+    try:
+        return sorted(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity interface on this platform
+        return list(range(os.cpu_count() or 1))
+
+
+def _pinning(cpus: list[int], workers: int):
+    """A thread pool initializer that gives each worker its own share of cpus.
+
+    Each numpy or scipy call hands the interpreter lock to the other
+    worker, and the kernel tends to wake that worker on the CPU that
+    woke it; unpinned, two workers can stay stacked on one CPU and the
+    pool gains nothing.  Worker i gets cpus[i::workers].  Where the
+    kernel refuses a share, or has no affinity interface, the worker
+    runs wherever it is scheduled.
+    """
+    shares = iter([cpus[i::workers] for i in range(workers)])
+
+    def pin() -> None:
+        try:
+            os.sched_setaffinity(0, next(shares))
+        except (AttributeError, OSError):
+            pass
+
+    return pin
 
 
 @dataclass(frozen=True)
@@ -237,7 +279,9 @@ def run(plan: SimPlan, rule: IntervalRule) -> SimSummary:
     bootstrap_B > 0 the finite-B resample average replaces the ideal
     smoothed center.  Containment is closed-interval.  The chunked
     vector path is tested to agree with the one-replication-at-a-time
-    construction.
+    construction.  The length's sample variance merges each chunk's
+    centered sum of squares (Chan et al.'s pairwise update), so a
+    nearly constant length leaves no cancellation residue.
     """
     geometry = kernel.RULES[IntervalRule(rule)]
     rho = plan.scenario.rho
@@ -246,17 +290,16 @@ def run(plan: SimPlan, rule: IntervalRule) -> SimSummary:
     n = plan.replications
     n_chunks = -(-n // CHUNK)
     streams = np.random.SeedSequence(plan.seed).spawn(n_chunks)
+    finite_B = geometry.smoothed and plan.bootstrap_B > 0
 
-    s1 = s2 = s3 = s4 = 0.0
-    covered = 0
-    len1 = len2 = 0.0
-    for idx in range(n_chunks):
+    def chunk(idx: int) -> tuple:
+        """One chunk's draws, reduced to its partial sums."""
         m = min(CHUNK, n - idx * CHUNK)
         rng = np.random.Generator(np.random.Philox(streams[idx]))
         theta_std, gamma_hat = simulate_pair(plan.scenario, rng, size=m)
 
         shift, factor = geometry.terms(gamma_hat, rho, plan.spec)
-        if geometry.smoothed and plan.bootstrap_B > 0:
+        if finite_B:
             center = _centers_finite_B(
                 theta_std, gamma_hat, rho, plan.spec, plan.bootstrap_B, rng
             )
@@ -264,15 +307,50 @@ def run(plan: SimPlan, rule: IntervalRule) -> SimSummary:
             center = theta_std - shift
         half = z_a * factor
 
-        s1 += float(center.sum())
         c2 = center * center
-        s2 += float(c2.sum())
-        s3 += float((c2 * center).sum())
-        s4 += float((c2 * c2).sum())
-        covered += int(np.count_nonzero(np.abs(center) <= half))
         length = 2.0 * half
-        len1 += float(length.sum())
-        len2 += float((length * length).sum())
+        # The length's mean taken about its first value: a constant
+        # length gives that value and zero deviations exactly.
+        mid = float(length[0] + (length - length[0]).sum() / m)
+        dev = length - mid
+        return (
+            float(center.sum()),
+            float(c2.sum()),
+            float((c2 * center).sum()),
+            float((c2 * c2).sum()),
+            int(np.count_nonzero(np.abs(center) <= half)),
+            float(length.sum()),
+            m,
+            mid,
+            float((dev * dev).sum()),
+        )
+
+    cpus = _usable_cpus()
+    workers = 1 if finite_B else min(len(cpus), n_chunks, _MAX_THREADS)
+    if workers == 1:
+        parts = list(map(chunk, range(n_chunks)))
+    else:
+        with ThreadPoolExecutor(workers, thread_name_prefix="smoothci-oracle",
+                                initializer=_pinning(cpus, workers)) as pool:
+            parts = list(pool.map(chunk, range(n_chunks)))
+
+    # Chunk index order, whichever thread computed each part.
+    s1 = s2 = s3 = s4 = 0.0
+    covered = 0
+    len1 = 0.0
+    count, len_mean, len_ss = 0, 0.0, 0.0
+    for p1, p2, p3, p4, hits, len_sum, m, m_mean, m_ss in parts:
+        s1 += p1
+        s2 += p2
+        s3 += p3
+        s4 += p4
+        covered += hits
+        len1 += len_sum
+        total = count + m
+        delta = m_mean - len_mean
+        len_mean += delta * (m / total)
+        len_ss += m_ss + delta * delta * (count * m / total)
+        count = total
 
     mean = s1 / n
     m2 = max(s2 / n - mean * mean, 0.0)
@@ -282,7 +360,7 @@ def run(plan: SimPlan, rule: IntervalRule) -> SimSummary:
     sd = math.sqrt(m2 * n / (n - 1)) if n > 1 else 0.0
     p_hat = covered / n
     mean_len = len1 / n
-    var_len = max((len2 - n * mean_len * mean_len) / (n - 1), 0.0) if n > 1 else 0.0
+    var_len = len_ss / (n - 1) if n > 1 else 0.0
 
     se_mean = sd / math.sqrt(n)
     se_sd = math.sqrt(max(m4 - m2 * m2, 0.0) / (4.0 * m2 * n)) if m2 > 0.0 else 0.0

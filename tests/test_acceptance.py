@@ -156,6 +156,14 @@ def test_c3_kernel_identities():
     print(f"c3: kernel vs direct integral {worst_k:.3g}, derivative match {worst_q:.3g}")
 
 
+def mc_z(diff: float, se: float, analytic: float) -> float:
+    """diff in Monte Carlo standard errors, widened by 1e-12 (relative
+    above 1) for rounding.  A statistic with no spread, like the length
+    at rho = 0, has se 0, and its mean over a million doubles still
+    carries last-digit rounding."""
+    return diff / math.hypot(se, 1e-12 * max(1.0, abs(analytic)))
+
+
 def test_c4_monte_carlo_oracle_agreement():
     """Million-replication simulation agrees with quadrature at 3 MC SEs."""
     master = 20260816
@@ -188,11 +196,12 @@ def test_c4_monte_carlo_oracle_agreement():
             summary = oracle.run(plan, rule)
             denom = 2.0 * z_quantile(0.5 * (1 + c))
             zs = (
-                (summary.empirical_coverage - cp)
-                / summary.standard_errors.empirical_coverage,
-                (summary.sd_estimate - sd_true) / summary.standard_errors.sd_estimate,
-                (summary.mean_length / denom - sel)
-                / (summary.standard_errors.mean_length / denom),
+                mc_z(summary.empirical_coverage - cp,
+                     summary.standard_errors.empirical_coverage, cp),
+                mc_z(summary.sd_estimate - sd_true, summary.standard_errors.sd_estimate,
+                     sd_true),
+                mc_z(summary.mean_length / denom - sel,
+                     summary.standard_errors.mean_length / denom, sel),
             )
             print(
                 f"c4: gamma={g} rho={rho} rule={rule.value} "
@@ -205,6 +214,71 @@ def test_c4_monte_carlo_oracle_agreement():
                 )
             worst = max(worst, max(abs(zv) for zv in zs))
     print(f"c4: worst |z| = {worst:.3f} over 54 comparisons at 1e6 replications")
+
+
+#: The Monte Carlo corner sweep: |rho| near RHO_MAX, a narrow and the
+#: default cutoff, an extreme and a central alpha, gamma at and off 0.
+CORNER_RHOS = (-0.999, -0.99, 0.99, 0.999)
+CORNER_CUTOFFS = (0.3, 1.645)
+CORNER_ALPHAS = (0.001, 0.5)
+CORNER_GAMMAS = (0.0, 1.5)
+#: Replications per run: the exact-SD rule is the slow one.
+CORNER_REPS = {IntervalRule.SD: 50_000, IntervalRule.SD_DELTA: 200_000,
+               IntervalRule.PMS: 200_000}
+CORNER_COVERAGE = {IntervalRule.SD: coverage_sd, IntervalRule.SD_DELTA: coverage_sd_delta,
+                   IntervalRule.PMS: coverage_pms}
+
+
+def corner_sweep_zs(master: int) -> list[tuple[str, float]]:
+    """Every corner comparison as (label, z in Monte Carlo standard errors).
+
+    Coverage is compared for the SD, SD_DELTA and PMS rules, with the
+    binomial se taken from the analytic p, since the empirical one can
+    be 1; the smoothed rules' sd is compared against r.
+    """
+    cells = [(rho, d, alpha) for rho in CORNER_RHOS for d in CORNER_CUTOFFS
+             for alpha in CORNER_ALPHAS]
+    seeds = iter(np.random.SeedSequence(master).generate_state(
+        len(cells) * len(CORNER_GAMMAS) * len(CORNER_REPS), dtype=np.uint64))
+    out = []
+    for rho, d, alpha in cells:
+        spec = PretestSpec.from_cutoff(d)
+        grid = Scenario(np.array(CORNER_GAMMAS), rho)
+        sd_true = r(grid.gamma, rho, spec)
+        analytic = {rule: cov(grid, spec, alpha) for rule, cov in CORNER_COVERAGE.items()}
+        for gi, gamma in enumerate(CORNER_GAMMAS):
+            for rule, reps in CORNER_REPS.items():
+                plan = oracle.SimPlan(replications=reps, seed=int(next(seeds)),
+                                      scenario=Scenario(gamma, rho), spec=spec, alpha=alpha)
+                summary = oracle.run(plan, rule)
+                label = f"gamma={gamma} rho={rho} d={d} alpha={alpha} rule={rule.value}"
+                p = float(analytic[rule][gi])
+                se = math.sqrt(p * (1.0 - p) / reps)
+                out.append((f"{label} coverage", (summary.empirical_coverage - p) / se))
+                if rule is not IntervalRule.PMS:
+                    out.append((f"{label} sd", (summary.sd_estimate - float(sd_true[gi]))
+                                / summary.standard_errors.sd_estimate))
+    return out
+
+
+def test_c4_monte_carlo_corner_sweep():
+    """The oracle agrees with the coverage and sd formulas at the domain's corners.
+
+    rho in {+-0.99, +-0.999}, d in {0.3, 1.645}, alpha in {0.001, 0.5},
+    gamma in {0, 1.5}: 160 comparisons against one Bonferroni bound, for
+    a family-wise false alarm rate of 1e-3.  Left out: the cutoff d = 10
+    and the lengths.  At |rho| near 1 the width factor rises steeply in
+    |h| outside the cutoff (at d = 10, rho = 0.999, r_delta climbs from
+    sqrt(1 - rho^2) = 0.0447 to 0.56 near h = 8), so the mean length and
+    the d = 10 summaries rest on a rare heavy tail that runs of these
+    sizes barely sample, and their Monte Carlo se is not reliable.
+    """
+    zs = corner_sweep_zs(master=7)
+    assert len(zs) == 160
+    bound = z_quantile(1.0 - 1e-3 / (2 * len(zs)))
+    label, worst = max(zs, key=lambda item: abs(item[1]))
+    print(f"c4 corners: worst |z| = {abs(worst):.3f} at {label}, bound {bound:.3f}")
+    assert abs(worst) <= bound, f"{label}: z = {worst:+.2f} beyond {bound:.2f}"
 
 
 def test_c5_reference_curves_at_rho_07():

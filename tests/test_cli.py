@@ -251,6 +251,22 @@ class TestVerify:
         assert all(ln.endswith(" z=0.000") for ln in rho0_ratios)
         assert re.search(r"\(worst \|z\| = \d+\.\d{3}, ", lines[-1])
 
+    def test_length_ratio_within_the_analytic_accuracy(self, cli):
+        # At d = 12 the length hardly varies, so its Monte Carlo se is 0
+        # or nearly; the rows compare within the 1e-9 accuracy, relative
+        # above 1, and do not read z = inf.
+        res = cli("verify", "--reps", "20000", "--seed", "3", "--cutoff-d", "12")
+        rows = [ln for ln in res.stdout.splitlines() if " stat=length_ratio " in ln]
+        assert len(rows) == 18
+        assert not [ln for ln in rows if ln.endswith(" FAIL")]
+
+    def test_z_allowance(self):
+        z = cli_module._verify_z
+        assert z(0.0, 0.0, 1.0) == 0.0
+        assert z(2e-9, 0.0, 0.5) == pytest.approx(2.0)
+        assert z(-7e-10, 0.0, 36280.4340704) == pytest.approx(-7e-10 / 36280.4340704e-9)
+        assert z(0.003, 0.001, 0.9) == pytest.approx(3.0, rel=1e-12)
+
     def test_tiny_tolerance_fails_with_exit_3(self, cli):
         res = cli("verify", "--reps", "2000", "--seed", "9", "--tolerance", "0.001")
         assert res.returncode == 3

@@ -8,16 +8,22 @@ through the public construction.
 """
 
 import math
+import subprocess
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from conftest import src_env
 from helpers import centers_finite_B_whole_blocks
 
 import smoothci.kernel as kernel_mod
+import smoothci.oracle as oracle_mod
 from smoothci.gauss import z_quantile
 from smoothci.intervals import IntervalRule, Scenario, build_interval, coverage_pms, coverage_sd
-from smoothci.kernel import FittedModel, PretestSpec, k, r, smoothed_estimate
+from smoothci.kernel import FittedModel, PretestSpec, RuleGeometry, k, r, smoothed_estimate
 from smoothci.oracle import (
     CHUNK,
     SimPlan,
@@ -225,8 +231,8 @@ class TestRun:
         out = run(plan, IntervalRule.FULL_MODEL)
         z_a = z_quantile(0.975)
         assert out.mean_length == pytest.approx(2 * z_a, abs=1e-12)
-        # constant length: the variance accumulator leaves only rounding residue
-        assert out.standard_errors.mean_length < 1e-8
+        # constant length: the merged centered sums leave no rounding residue
+        assert out.standard_errors.mean_length == 0.0
         assert abs(out.empirical_coverage - 0.95) < 4 * out.standard_errors.empirical_coverage
         assert abs(out.mean_estimate) < 4 * out.standard_errors.mean_estimate
         assert abs(out.sd_estimate - 1.0) < 4 * out.standard_errors.sd_estimate
@@ -288,32 +294,35 @@ class TestRun:
     # Summaries as the rules' separate shift and factor calls gave them,
     # before the two were fused into one call per chunk:
     # (rule, replications, seed, gamma, rho, bootstrap_B) -> (mean, sd,
-    # coverage, length, and their standard errors in that order).
+    # coverage, length, and their standard errors in that order).  The
+    # length's standard error is the one from the chunks' merged centered
+    # sums of squares; each equals the exact rational computation from
+    # the same lengths to within one unit in the last place.
     FROZEN = {
         ("sd", 20_000, 61, 1.3, 0.7, 0): (
             -0.17876821132888632, 0.9646771962851356, 0.947, 3.8206312776074816,
             0.006821297871492455, 0.00490958623401456, 0.0015841559266688372,
-            0.001795941746361394),
+            0.0017959417463613955),
         ("sd_delta", 20_000, 62, 1.3, 0.7, 0): (
             -0.18750967177747185, 0.970331467550034, 0.93365, 3.8321053212944403,
             0.006861279607033234, 0.004814206152732556, 0.0017599385997812541,
-            0.003633950419066371),
+            0.0036339504190663614),
         ("pms", 20_000, 63, 1.3, 0.7, 0): (
             -0.31385804370082976, 1.0867593495673833, 0.8197, 3.211298811124965,
             0.007684549055969784, 0.005100473575786128, 0.002718381043930376,
-            0.00382038119610282),
+            0.003820381196102827),
         ("full_model", 20_000, 64, 1.3, 0.7, 0): (
             -0.005351520966033207, 0.9981774118513678, 0.9516, 3.9199279690801063,
             0.007058180167473394, 0.004910732022062065, 0.0015175216637662871,
-            1.0092992619811487e-09),
+            0.0),
         ("sd_delta", 3_000, 65, 0.8, -0.9, 32): (
             0.16324507403928604, 0.8993640769062499, 0.926, 3.373885732872296,
             0.01642006641104547, 0.013861961296110652, 0.004779260751762067,
-            0.016146376421472076),
+            0.016146376421472083),
         ("sd", 3_000, 66, 0.8, 0.9, 32): (
             -0.1834190829945917, 0.9012769540108831, 0.9586666666666667,
             3.5716603115387358, 0.01645499060904356, 0.013165896653898576,
-            0.003634321985776205, 0.007333585862914808),
+            0.003634321985776205, 0.007333585862914715),
     }
 
     @pytest.mark.parametrize("case", list(FROZEN))
@@ -333,3 +342,137 @@ class TestRun:
         assert isinstance(out, SimSummary)
         with pytest.raises(Exception):
             out.mean_estimate = 0.0
+
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """Names of the threads started while the test runs."""
+    names = []
+    start = threading.Thread.start
+
+    def recording(thread):
+        names.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    return names
+
+
+def with_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(oracle_mod, "_usable_cpus", lambda: list(range(cpus)))
+
+
+class TestThreads:
+    """Chunks run on a thread pool; the summary must not notice."""
+
+    # Five chunks, the last one partial.
+    N = 4 * CHUNK + 123
+
+    def plan(self, B=0, seed=71):
+        return SimPlan(replications=self.N, seed=seed, scenario=Scenario(1.2, 0.8),
+                       spec=SPEC10, alpha=ALPHA, bootstrap_B=B)
+
+    @pytest.mark.parametrize("B", [0, 32])
+    @pytest.mark.parametrize("rule", list(IntervalRule))
+    def test_summary_does_not_depend_on_cpu_count(self, monkeypatch, rule, B):
+        summaries = []
+        for cpus in (1, 2, 8):
+            with_cpus(monkeypatch, cpus)
+            summaries.append(run(self.plan(B), rule))
+        assert summaries[0] == summaries[1] == summaries[2]
+
+    def test_short_switch_interval(self, monkeypatch):
+        # More workers than this machine may have cores, switching
+        # threads as often as the interpreter allows.
+        with_cpus(monkeypatch, 1)
+        serial = run(self.plan(seed=72), IntervalRule.SD_DELTA)
+        with_cpus(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run(self.plan(seed=72), IntervalRule.SD_DELTA)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
+    def test_pool_size(self, monkeypatch, started_threads):
+        # min(usable CPUs, chunks, the cap); the pool starts its threads
+        # as work arrives, so they may be fewer.
+        sizes = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(oracle_mod, "ThreadPoolExecutor", Recording)
+        for cpus, n in ((2, self.N), (3, self.N), (64, self.N), (64, 3 * CHUNK)):
+            with_cpus(monkeypatch, cpus)
+            run(SimPlan(replications=n, seed=5, scenario=Scenario(1.0, 0.5), spec=SPEC10,
+                        alpha=ALPHA), IntervalRule.PMS)
+        assert sizes == [2, 3, oracle_mod._MAX_THREADS, 3]
+        assert started_threads
+        assert all(name.startswith("smoothci-oracle_") for name in started_threads)
+
+    def test_workers_split_the_cpus(self, monkeypatch):
+        pinned = []
+
+        def record(pid, cpus):
+            if cpus == [3, 7]:
+                raise OSError(22, "Invalid argument")
+            pinned.append((pid, cpus))
+
+        monkeypatch.setattr(oracle_mod.os, "sched_setaffinity", record)
+        pin = oracle_mod._pinning(list(range(10)), 4)
+        for _ in range(4):
+            pin()  # the refused last share leaves its worker unpinned
+        assert pinned == [(0, [0, 4, 8]), (0, [1, 5, 9]), (0, [2, 6])]
+        # In a run, each worker thread pins itself to a share of its own.
+        pinned.clear()
+        with_cpus(monkeypatch, 2)
+        run(self.plan(), IntervalRule.SD)
+        shares = [tuple(cpus) for _, cpus in pinned]
+        assert shares and set(shares) <= {(0,), (1,)}
+        assert len(set(shares)) == len(shares)
+
+    def test_import_starts_no_thread(self):
+        code = "import threading, smoothci, smoothci.oracle; print(threading.active_count())"
+        done = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
+                              text=True, check=True)
+        assert done.stdout == "1\n"
+
+    @pytest.mark.parametrize("n", [1, CHUNK])
+    def test_one_chunk_starts_no_thread(self, monkeypatch, started_threads, n):
+        with_cpus(monkeypatch, 8)
+        run(SimPlan(replications=n, seed=3, scenario=Scenario(1.0, 0.5), spec=SPEC10,
+                    alpha=ALPHA), IntervalRule.SD)
+        assert started_threads == []
+
+    def test_finite_B_starts_no_thread(self, monkeypatch, started_threads):
+        with_cpus(monkeypatch, 8)
+        run(self.plan(B=4), IntervalRule.SD_DELTA)
+        assert started_threads == []
+
+    @pytest.mark.parametrize("bad_size", [CHUNK, 123])
+    def test_failing_chunk_raises_and_leaves_no_thread(self, monkeypatch, bad_size):
+        # Fails the first full chunk to be evaluated, or the partial last one.
+        terms = kernel_mod.RULES[IntervalRule.PMS].terms
+        lock = threading.Lock()
+        failed = []
+
+        def failing(h, rho, spec):
+            with lock:
+                fail = h.size == bad_size and not failed
+                if fail:
+                    failed.append(h.size)
+            if fail:
+                raise RuntimeError("chunk failed")
+            return terms(h, rho, spec)
+
+        monkeypatch.setitem(kernel_mod.RULES, IntervalRule.PMS, RuleGeometry(terms=failing))
+        with_cpus(monkeypatch, 8)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            run(self.plan(), IntervalRule.PMS)
+        assert failed == [bad_size]
+        assert threading.active_count() == before

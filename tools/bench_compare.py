@@ -11,7 +11,9 @@ through a temporary index so that the repository's own index is left
 alone.  Every run executes the command BENCHMARK.json gives, from that
 directory, for its ``run_seconds``.  Pair i of a workload runs both sides on seed
 ``--seed + i``; even pairs run the parent first, odd pairs the change.
-The output file records the machine, both versions, every run, and per
+The output file records the machine, both versions, every run (with
+the CPUs it could use and the load average at its start and end, since
+a threaded gain reads only against the cores a run had), and per
 workload and end-to-end metric the median and quartiles of each side,
 the pairs the change won (ties count for neither side) and whether the
 gain rule holds: at least nine tenths of the pairs won and the medians
@@ -74,18 +76,33 @@ def export(rev: str, into: pathlib.Path) -> dict:
     return described
 
 
+def usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count()
+
+
+def host_load() -> dict:
+    """The CPUs a run may use and the machine's 1, 5 and 15 minute load."""
+    return {"usable_cpus": usable_cpus(), "loadavg": list(os.getloadavg())}
+
+
 def run_once(side: pathlib.Path, command: list[str], workload: str, seed: int,
              seconds: float) -> dict:
     argv = [*command, "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     if argv[0] in ("python", "python3"):
         argv[0] = sys.executable
+    start = host_load()
     done = subprocess.run(argv, cwd=side, capture_output=True, text=True,
                           timeout=20 * seconds + 600)
     if done.returncode != 0:
         raise RuntimeError(f"{workload} seed {seed} in {side.name} exited {done.returncode}:"
                            f"\n{done.stderr[-2000:]}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    result["host"] = {"start": start, "end": host_load()}
+    return result
 
 
 def quartiles(values: list[float]) -> dict:
@@ -241,7 +258,8 @@ def main(argv=None) -> int:
         workloads = {}
         result = {
             "machine": {"platform": platform.platform(), "machine": platform.machine(),
-                        "processor": platform.processor(), "cpu_count": os.cpu_count()},
+                        "processor": platform.processor(), "cpu_count": os.cpu_count(),
+                        "usable_cpus": usable_cpus()},
             "versions": versions(),
             "parent": described["parent"],
             "change": described["change"],
