@@ -19,11 +19,9 @@ verification failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,35 +71,6 @@ class _Parser(argparse.ArgumentParser):
         raise CLIError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated flag set for one invocation; commands read only this.
-
-    The field defaults are the flag defaults: every subcommand's
-    parser starts from them, so they stand for the flags a subcommand
-    does not have, and its own flags' defaults override them.
-    """
-
-    command: str
-    rho: float = 0.0
-    alpha: float = 0.05
-    spec: PretestSpec = None  # type: ignore[assignment]
-    gamma_max: float = 10.0
-    step: float = 0.05
-    quantity: Quantity | None = None
-    rules: tuple[IntervalRule, ...] = ()
-    replications: int = oracle.DEFAULT_REPLICATIONS
-    seed: int = 0
-    tolerance: float = 3.0
-    design: str | None = None
-    response: str | None = None
-    theta_vec: str | None = None
-    tau_vec: str | None = None
-    sigma: float = 1.0
-    header: bool = False
-    out: str | None = None
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
@@ -113,13 +82,13 @@ def _add_pretest(p: _Parser) -> None:
                             f"(default {DEFAULT_PRETEST_SIZE:g})")
     group.add_argument("--cutoff-d", type=float, default=None,
                        help="cutoff d of the preliminary test (alternative to --pretest-size)")
-    p.add_argument("--alpha", type=float, default=RunConfig.alpha,
+    p.add_argument("--alpha", type=float, default=0.05,
                    help="1 - nominal coverage (default %(default)g)")
 
 
 def _add_grid(p: _Parser) -> None:
-    p.add_argument("--gamma-max", type=float, default=RunConfig.gamma_max)
-    p.add_argument("--step", type=float, default=RunConfig.step)
+    p.add_argument("--gamma-max", type=float, default=10.0)
+    p.add_argument("--step", type=float, default=0.05)
 
 
 def _curve_flags(p: _Parser) -> None:
@@ -160,9 +129,9 @@ def _fit_flags(p: _Parser) -> None:
 def _verify_flags(p: _Parser) -> None:
     _add_pretest(p)
     p.add_argument("--reps", type=int, dest="replications", metavar="REPS",
-                   default=RunConfig.replications)
-    p.add_argument("--seed", type=int, default=RunConfig.seed)
-    p.add_argument("--tolerance", type=float, default=RunConfig.tolerance,
+                   default=oracle.DEFAULT_REPLICATIONS)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tolerance", type=float, default=3.0,
                    help="|z| threshold for each comparison (default %(default)g)")
 
 
@@ -175,13 +144,9 @@ def _build_parser(commands: Iterable[str]) -> _Parser:
     """
     parser = _Parser(prog="smoothci", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", required=True)
-    defaults = {field.name: field.default for field in dataclasses.fields(RunConfig)
-                if field.default is not dataclasses.MISSING}
     for name in commands:
         _, summary, add_flags = _COMMANDS[name]
-        p = sub.add_parser(name, help=summary)
-        p.set_defaults(**defaults)
-        add_flags(p)
+        add_flags(sub.add_parser(name, help=summary))
     return parser
 
 
@@ -207,9 +172,13 @@ def _resolve_spec(args: argparse.Namespace) -> PretestSpec:
         raise CLIError(str(exc)) from exc
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    spec = _resolve_spec(args)
-    alpha = float(args.alpha)
+def _check_args(args: argparse.Namespace) -> None:
+    """Check the flags ``args.command`` has and set the parsed values its
+    handler reads: ``args.spec`` always, ``args.quantity`` for curve and
+    ``args.rules`` for cmin."""
+    command = args.command
+    args.spec = _resolve_spec(args)
+    alpha = args.alpha
     if not 0.0 < alpha < 1.0:
         raise CLIError(f"--alpha must be in (0, 1), got {alpha}")
     try:
@@ -217,71 +186,42 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     except ValueError as exc:
         raise _beyond_precision("--alpha", alpha, exc) from exc
 
-    rho = float(args.rho)
-    gamma_max = float(args.gamma_max)
-    step = float(args.step)
-    if args.command in ("curve", "figure1"):
-        for flag, value in (("--gamma-max", gamma_max), ("--step", step)):
+    if command in ("curve", "figure1"):
+        for flag, value in (("--gamma-max", args.gamma_max), ("--step", args.step)):
             if not math.isfinite(value):
                 raise CLIError(f"{flag} must be finite, got {value}")
-        if step <= 0.0:
-            raise CLIError(f"--step must be positive, got {step}")
-        if gamma_max < step:
-            raise CLIError(f"--gamma-max must be at least --step, got {gamma_max}")
-    if args.command in ("curve", "figure1", "cmin"):
+        if args.step <= 0.0:
+            raise CLIError(f"--step must be positive, got {args.step}")
+        if args.gamma_max < args.step:
+            raise CLIError(f"--gamma-max must be at least --step, got {args.gamma_max}")
+    if command in ("curve", "figure1", "cmin"):
         try:
-            Scenario(0.0, rho)
+            Scenario(0.0, args.rho)
         except ValueError as exc:
             raise CLIError(f"--rho: {exc}") from exc
 
-    quantity = None if args.quantity is None else Quantity(args.quantity)
-
-    rules: tuple[IntervalRule, ...] = ()
-    if args.rules:
+    if command == "curve":
+        args.quantity = Quantity(args.quantity)
+    elif command == "cmin":
         try:
             rules = tuple(IntervalRule(tok.strip()) for tok in args.rules.split(",") if tok.strip())
         except ValueError as exc:
             raise CLIError(f"--rules: {exc}") from exc
         if not rules:
             raise CLIError("--rules: no rule named")
-        for rule in rules:
-            if rule is IntervalRule.FULL_MODEL:
-                raise CLIError("--rules: full_model has constant coverage, nothing to minimize")
-
-    replications = int(args.replications)
-    if args.command == "verify" and replications < 1:
-        raise CLIError(f"--reps must be >= 1, got {replications}")
-    seed = int(args.seed)
-    if not 0 <= seed < 2**64:
-        raise CLIError("--seed must be a nonnegative 64-bit integer")
-    tolerance = float(args.tolerance)
-    if args.command == "verify" and not tolerance > 0.0:
-        raise CLIError(f"--tolerance must be positive, got {tolerance}")
-
-    sigma = args.sigma
-    if args.command == "fit" and not (math.isfinite(sigma) and sigma > 0.0):
-        raise CLIError(f"--sigma must be positive, got {sigma}")
-
-    return RunConfig(
-        command=args.command,
-        rho=rho,
-        alpha=alpha,
-        spec=spec,
-        gamma_max=gamma_max,
-        step=step,
-        quantity=quantity,
-        rules=rules,
-        replications=replications,
-        seed=seed,
-        tolerance=tolerance,
-        design=args.design,
-        response=args.response,
-        theta_vec=args.theta_vec,
-        tau_vec=args.tau_vec,
-        sigma=float(sigma),
-        header=bool(args.header),
-        out=args.out,
-    )
+        if IntervalRule.FULL_MODEL in rules:
+            raise CLIError("--rules: full_model has constant coverage, nothing to minimize")
+        args.rules = rules
+    elif command == "verify":
+        if args.replications < 1:
+            raise CLIError(f"--reps must be >= 1, got {args.replications}")
+        if not 0 <= args.seed < 2**64:
+            raise CLIError("--seed must be a nonnegative 64-bit integer")
+        if not args.tolerance > 0.0:
+            raise CLIError(f"--tolerance must be positive, got {args.tolerance}")
+    elif command == "fit":
+        if not (math.isfinite(args.sigma) and args.sigma > 0.0):
+            raise CLIError(f"--sigma must be positive, got {args.sigma}")
 
 
 def _emit(path: str | None, lines: list[str]) -> None:
@@ -309,21 +249,19 @@ def _curve_rows(table: CurveTable) -> list[str]:
     ]
 
 
-def cmd_curve(config: RunConfig) -> int:
+def cmd_curve(args: argparse.Namespace) -> int:
     """Write one quantity's gamma grid as CSV."""
-    table = curve(
-        config.quantity, config.rho, config.spec, config.alpha, config.gamma_max, config.step
-    )
-    _emit(config.out, ["gamma,value,quantity,rho,alpha,pretest_size"] + _curve_rows(table))
+    table = curve(args.quantity, args.rho, args.spec, args.alpha, args.gamma_max, args.step)
+    _emit(args.out, ["gamma,value,quantity,rho,alpha,pretest_size"] + _curve_rows(table))
     return EXIT_OK
 
 
-def cmd_figure1(config: RunConfig) -> int:
+def cmd_figure1(args: argparse.Namespace) -> int:
     """Write the two-panel dataset: coverage curves and length curve."""
-    args = (config.rho, config.spec, config.alpha, config.gamma_max, config.step)
-    top_delta = curve(Quantity.CP_DELTA, *args)
-    top_pms = curve(Quantity.CP_PMS, *args)
-    bottom = curve(Quantity.SEL_DELTA, *args)
+    grid = (args.rho, args.spec, args.alpha, args.gamma_max, args.step)
+    top_delta = curve(Quantity.CP_DELTA, *grid)
+    top_pms = curve(Quantity.CP_PMS, *grid)
+    bottom = curve(Quantity.SEL_DELTA, *grid)
     top_lines = ["gamma,cp_delta,cp_pms"] + [
         ",".join((_fmt(g), _fmt(cd), _fmt(cp)))
         for g, cd, cp in zip(top_delta.gammas, top_delta.values, top_pms.values)
@@ -331,15 +269,15 @@ def cmd_figure1(config: RunConfig) -> int:
     bottom_lines = ["gamma,sel_delta"] + [
         ",".join((_fmt(g), _fmt(v))) for g, v in zip(bottom.gammas, bottom.values)
     ]
-    _emit(f"{config.out}_top.csv", top_lines)
-    _emit(f"{config.out}_bottom.csv", bottom_lines)
+    _emit(f"{args.out}_top.csv", top_lines)
+    _emit(f"{args.out}_bottom.csv", bottom_lines)
     return EXIT_OK
 
 
-def cmd_cmin(config: RunConfig) -> int:
+def cmd_cmin(args: argparse.Namespace) -> int:
     """Print the minimum-coverage report for each requested rule."""
-    reports = [(rule, min_coverage(config.rho, config.spec, config.alpha, rule))
-               for rule in config.rules]
+    reports = [(rule, min_coverage(args.rho, args.spec, args.alpha, rule))
+               for rule in args.rules]
     for rule, rep in reports:
         print(
             f"rule={rule.value} c_min={_fmt(rep.c_min)} "
@@ -347,26 +285,26 @@ def cmd_cmin(config: RunConfig) -> int:
             f"grid_step={_fmt(rep.search_grid_step)} "
             f"refinement_tolerance={_fmt(rep.refinement_tolerance)}"
         )
-    if config.out is not None:
+    if args.out is not None:
         lines = ["rule,c_min,argmin_gamma,search_grid_step,refinement_tolerance"] + [
             ",".join((rule.value, _fmt(rep.c_min), _fmt(rep.argmin_gamma),
                       _fmt(rep.search_grid_step), _fmt(rep.refinement_tolerance)))
             for rule, rep in reports
         ]
-        _emit(config.out, lines)
+        _emit(args.out, lines)
     return EXIT_OK
 
 
-def cmd_fit(config: RunConfig) -> int:
+def cmd_fit(args: argparse.Namespace) -> int:
     """Fit the CSV inputs and print the model summary and all intervals."""
     try:
         data = linmod.load_dataset(
-            config.design,
-            config.response,
-            config.theta_vec,
-            config.tau_vec,
-            config.sigma,
-            header=config.header,
+            args.design,
+            args.response,
+            args.theta_vec,
+            args.tau_vec,
+            args.sigma,
+            header=args.header,
         )
     except OSError as exc:
         raise CLIError(str(exc)) from exc
@@ -382,7 +320,7 @@ def cmd_fit(config: RunConfig) -> int:
     print(f"rss={_fmt(diag.rss)} dof={diag.dof} scaled_ratio={_fmt(diag.scaled_ratio)}")
     for rule in (IntervalRule.SD, IntervalRule.SD_DELTA, IntervalRule.PMS,
                  IntervalRule.FULL_MODEL):
-        report = build_interval(fitted, config.spec, config.alpha, rule)
+        report = build_interval(fitted, args.spec, args.alpha, rule)
         print(
             f"interval rule={rule.value} lower={_fmt(report.lower)} "
             f"upper={_fmt(report.upper)} center={_fmt(report.center)} "
@@ -405,7 +343,7 @@ def _verify_z(diff: float, se: float, analytic: float) -> float:
     return diff / math.hypot(se, 1e-9 * max(1.0, abs(analytic)))
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     """Compare Monte Carlo estimates against the analytic formulas.
 
     For each grid cell and each smoothed-interval rule the suite
@@ -418,7 +356,7 @@ def cmd_verify(config: RunConfig) -> int:
     """
     rules = (IntervalRule.SD, IntervalRule.SD_DELTA)
     # One seed per (rho, gamma, rule), taken in the order the loops run.
-    seeds = iter(np.random.SeedSequence(config.seed).generate_state(
+    seeds = iter(np.random.SeedSequence(args.seed).generate_state(
         len(VERIFY_RHOS) * len(VERIFY_GAMMAS) * len(rules), dtype=np.uint64
     ))
     worst = 0.0
@@ -430,25 +368,25 @@ def cmd_verify(config: RunConfig) -> int:
         # exact standard deviation is r; r_delta only shapes the
         # interval width, so the sd comparison is always against r.
         grid = Scenario(np.array(VERIFY_GAMMAS), rho)
-        sd_true = r(grid.gamma, rho, config.spec)
+        sd_true = r(grid.gamma, rho, args.spec)
         analytic_by_rule = {}
         for rule in rules:
-            c_min = min_coverage(rho, config.spec, config.alpha, rule).c_min
+            c_min = min_coverage(rho, args.spec, args.alpha, rule).c_min
             analytic_by_rule[rule] = (
                 c_min,
-                _COVERAGE_BY_RULE[rule](grid, config.spec, config.alpha),
-                _SEL_BY_RULE[rule](grid, config.spec, config.alpha, c_min),
+                _COVERAGE_BY_RULE[rule](grid, args.spec, args.alpha),
+                _SEL_BY_RULE[rule](grid, args.spec, args.alpha, c_min),
             )
         for g_idx, gamma in enumerate(VERIFY_GAMMAS):
             scenario = Scenario(gamma, rho)
             for rule in rules:
                 c_min, cp, sel_true = analytic_by_rule[rule]
                 plan = oracle.SimPlan(
-                    replications=config.replications,
+                    replications=args.replications,
                     seed=int(next(seeds)),
                     scenario=scenario,
-                    spec=config.spec,
-                    alpha=config.alpha,
+                    spec=args.spec,
+                    alpha=args.alpha,
                 )
                 summary = oracle.run(plan, rule)
                 denom = 2.0 * z_quantile(0.5 * (1.0 + c_min))
@@ -466,7 +404,7 @@ def cmd_verify(config: RunConfig) -> int:
                     comparisons += 1
                     worst = max(worst, abs(z))
                     flag = ""
-                    if abs(z) > config.tolerance:
+                    if abs(z) > args.tolerance:
                         failures += 1
                         flag = " FAIL"
                     elif se > WIDE_SE:
@@ -479,14 +417,15 @@ def cmd_verify(config: RunConfig) -> int:
     verdict = "PASS" if failures == 0 else "FAIL"
     print(
         f"verify {verdict}: {comparisons - failures}/{comparisons} comparisons within "
-        f"|z| <= {_fmt(config.tolerance)} (worst |z| = {_fmt_z(worst)}, "
-        f"replications = {config.replications})"
+        f"|z| <= {_fmt(args.tolerance)} (worst |z| = {_fmt_z(worst)}, "
+        f"replications = {args.replications})"
     )
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 
 #: Subcommand name -> (handler, help summary, flag builder), in the
-#: order ``smoothci -h`` lists them.
+#: order ``smoothci -h`` lists them.  Each handler reads the namespace
+#: its subparser parsed, once ``_check_args`` has checked it.
 _COMMANDS = {
     "curve": (cmd_curve, "tabulate one quantity over a gamma grid", _curve_flags),
     "figure1": (cmd_figure1, "emit the two-panel headline dataset", _figure1_flags),
@@ -501,8 +440,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser(argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS)
     try:
         args = parser.parse_args(argv)
-        config = _config_from_args(args)
-        return _COMMANDS[config.command][0](config)
+        _check_args(args)
+        return _COMMANDS[args.command][0](args)
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -41,9 +41,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import erfc, owens_t
+from scipy.special import owens_t
 
-from .gauss import Phi, _bvn_diagonal, phi, z_quantile
+from .gauss import _SQRT2, Phi, _bvn_diagonal, _density, _upper_tail, z_quantile
 
 #: Largest correlation magnitude accepted by the smoothing analysis.
 #: The coverage and length functionals degenerate as |rho| -> 1; the
@@ -166,8 +166,8 @@ def _k_q(g: np.ndarray, spec: PretestSpec):
     """k and q at finite g, from one evaluation of the four normal
     values they share: Phi(d - g), Phi(-d - g), phi(d + g), phi(d - g)."""
     d = spec.d
-    pdf_plus, pdf_minus = phi(d + g), phi(d - g)
-    mass = Phi(d - g) - Phi(-d - g)
+    pdf_plus, pdf_minus = _density(d + g), _density(d - g)
+    mass = _upper_tail(g - d) - _upper_tail(d + g)
     return pdf_plus - pdf_minus + g * mass, mass - d * (pdf_plus + pdf_minus)
 
 
@@ -199,9 +199,7 @@ def q(gamma: float | np.ndarray, spec: PretestSpec) -> float | np.ndarray:
     return _like(gamma, g, _k_q(g, spec)[1])
 
 
-_SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def _moments(g: np.ndarray, spec: PretestSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -239,13 +237,9 @@ def _moments(g: np.ndarray, spec: PretestSpec) -> tuple[np.ndarray, np.ndarray, 
     a_lo, b_hi = a / _SQRT3, b / _SQRT3
     a_hi = (2.0 * b - a) / _SQRT3
     b_lo = (2.0 * a - b) / _SQRT3
-    # Phi and phi as in gauss, without their input checks: every
-    # argument is finite here.
     args = np.array([a, b, a_lo, b_hi, a_hi, b_lo])
-    cdf_a, cdf_b, cdf_a_lo, cdf_b_hi, cdf_a_hi, cdf_b_lo = 0.5 * erfc(-args / _SQRT2)
-    pdf_a, pdf_b, pdf_a_lo, pdf_b_hi, pdf_a_hi, pdf_b_lo = _INV_SQRT_2PI * np.exp(
-        -0.5 * args * args
-    )
+    cdf_a, cdf_b, cdf_a_lo, cdf_b_hi, cdf_a_hi, cdf_b_lo = _upper_tail(-args)
+    pdf_a, pdf_b, pdf_a_lo, pdf_b_hi, pdf_a_hi, pdf_b_lo = _density(args)
     with np.errstate(divide="ignore"):
         # a_hi / a is +inf at a = 0 and b_lo / b is -inf at b = 0;
         # T(0, +-inf) = +-1/4 is the right limit there.

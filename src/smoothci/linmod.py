@@ -179,13 +179,18 @@ def _parse_rows(path: str, header: bool) -> np.ndarray:
 
     Each row converts in one call.  Only a row that fails it is looked
     at cell by cell: a row whose cells are all blank is skipped (a
-    blank cell never parses), any other names its first bad cell.
+    blank cell never parses), any other names its first bad cell.  An
+    error names the physical line its record ends on, which a quoted
+    newline puts past the record's number.
     """
     flat: list[float] = []
     width = None
     with open(path, newline="") as handle:
-        for lineno, row in enumerate(csv.reader(handle), start=1):
-            if not row or (lineno == 1 and header):
+        reader = csv.reader(handle)
+        if header:
+            next(reader, None)
+        for row in reader:
+            if not row:
                 continue
             try:
                 vals = list(map(float, row))
@@ -197,7 +202,7 @@ def _parse_rows(path: str, header: bool) -> np.ndarray:
                         float(cell)
                     except ValueError:
                         raise ValueError(
-                            f"{path}: line {lineno}, column {colno}: "
+                            f"{path}: line {reader.line_num}, column {colno}: "
                             f"cannot parse {cell.strip()!r} as a number"
                         ) from None
                 raise
@@ -205,7 +210,7 @@ def _parse_rows(path: str, header: bool) -> np.ndarray:
                 width = len(vals)
             elif len(vals) != width:
                 raise ValueError(
-                    f"{path}: line {lineno}: expected {width} columns, got {len(vals)}"
+                    f"{path}: line {reader.line_num}: expected {width} columns, got {len(vals)}"
                 )
             flat += vals
     if width is None:

@@ -239,8 +239,9 @@ def parse_rows_by_cell(path: str, header: bool) -> list[list[float]]:
     rows: list[list[float]] = []
     width = None
     with open(path, newline="") as handle:
-        for lineno, row in enumerate(csv.reader(handle), start=1):
-            if lineno == 1 and header:
+        reader = csv.reader(handle)
+        for recno, row in enumerate(reader, start=1):
+            if recno == 1 and header:
                 continue
             if not row or all(cell.strip() == "" for cell in row):
                 continue
@@ -250,14 +251,14 @@ def parse_rows_by_cell(path: str, header: bool) -> list[list[float]]:
                     vals.append(float(cell))
                 except ValueError:
                     raise ValueError(
-                        f"{path}: line {lineno}, column {colno}: "
+                        f"{path}: line {reader.line_num}, column {colno}: "
                         f"cannot parse {cell.strip()!r} as a number"
                     ) from None
             if width is None:
                 width = len(vals)
             elif len(vals) != width:
                 raise ValueError(
-                    f"{path}: line {lineno}: expected {width} columns, got {len(vals)}"
+                    f"{path}: line {reader.line_num}: expected {width} columns, got {len(vals)}"
                 )
             rows.append(vals)
     if not rows:

@@ -354,6 +354,33 @@ class TestParserPerCommand:
         assert built == [("cmin",), ALL_COMMANDS, ALL_COMMANDS]
 
 
+#: (argv, message) for each flag value outside its domain: every
+#: validation branch, each named by the flag and value it tests.
+DOMAIN_ERRORS = [
+    (["cmin", "--rho", "0.7", "--alpha", "1"], "--alpha must be in (0, 1), got 1.0"),
+    (["cmin", "--rho", "0.7", "--cutoff-d", "-1"],
+     "PretestSpec.from_cutoff: cutoff must be positive, got -1.0"),
+    (["cmin", "--rho", "0.7", "--cutoff-d", "inf"],
+     "PretestSpec.from_cutoff: cutoff must be positive, got inf"),
+    (["cmin", "--rho", "0.7", "--pretest-size", "0"],
+     "PretestSpec.from_size: size must be in (0, 1), got 0.0"),
+    (["curve", "--quantity", "cp", "--rho", "0", "--step", "0"],
+     "--step must be positive, got 0.0"),
+    (["figure1", "--step", "0.05", "--gamma-max", "0.01"],
+     "--gamma-max must be at least --step, got 0.01"),
+    (["cmin", "--rho", "1.5"], "--rho: Scenario: rho must satisfy |rho| <= 0.999, got 1.5"),
+    (["cmin", "--rho", "0.7", "--rules", ",,"], "--rules: no rule named"),
+    (["cmin", "--rho", "0.7", "--rules", ""], "--rules: no rule named"),
+    (["cmin", "--rho", "0.7", "--rules", "full_model"],
+     "--rules: full_model has constant coverage, nothing to minimize"),
+    (["cmin", "--rho", "0.7", "--rules", "zz"], "--rules: 'zz' is not a valid IntervalRule"),
+    (["verify", "--reps", "0"], "--reps must be >= 1, got 0"),
+    (["verify", "--seed", "-1"], "--seed must be a nonnegative 64-bit integer"),
+    (["verify", "--tolerance", "0"], "--tolerance must be positive, got 0.0"),
+    (["fit", *FIT_FLAGS[:-1], "0"], "--sigma must be positive, got 0.0"),
+]
+
+
 class TestDomainEdges:
     """Inputs inside a flag's domain that double precision cannot carry
     through its conversion are rejected with the flag's name."""
@@ -382,15 +409,12 @@ class TestDomainEdges:
         assert res.returncode == 0, res.stderr
         assert res.stdout.startswith("rule=pms c_min=")
 
-    @pytest.mark.parametrize("flag,value,message", [
-        ("--alpha", "1", "--alpha must be in (0, 1), got 1.0"),
-        ("--cutoff-d", "-1", "PretestSpec.from_cutoff: cutoff must be positive, got -1.0"),
-        ("--cutoff-d", "inf", "PretestSpec.from_cutoff: cutoff must be positive, got inf"),
-        ("--pretest-size", "0", "PretestSpec.from_size: size must be in (0, 1), got 0.0"),
-    ])
-    def test_outside_the_domain_keeps_its_message(self, cli, flag, value, message):
-        res = cli("cmin", "--rho", "0.7", flag, value)
-        assert (res.returncode, res.stderr) == (1, f"error: {message}\n")
+    @pytest.mark.parametrize("argv,message", DOMAIN_ERRORS,
+                             ids=[f"{argv[-2]}-{argv[-1]}-{message}"
+                                  for argv, message in DOMAIN_ERRORS])
+    def test_outside_the_domain_keeps_its_message(self, cli, argv, message):
+        res = cli(*argv)
+        assert (res.returncode, res.stdout, res.stderr) == (1, "", f"error: {message}\n")
 
 
 class TestEntryPoint:

@@ -284,6 +284,7 @@ LOADER_CORPUS = [
     ("quoted", '"1.5","-2"\n"3e2",4\n', False),
     ("quoted_comma", '"1,5",2\n', False),
     ("quoted_newline_then_bad_cell", '"1\n",2\n3,x\n', False),
+    ("quoted_newline_then_ragged", '"1\n",2\n3\n', False),
     ("crlf", "1,2\r\n3,4\r\n", False),
     ("no_final_newline", "1,2\n3,4", False),
     ("blank_and_comma_rows", "\n1,2\n\n,\n3,4\n,,\n\n", False),
@@ -334,6 +335,18 @@ class TestLoaderAgainstCellByCell:
         else:
             assert _same_bits(new, ref)
             assert _same_bits(load_matrix(str(path), header=header), ref)
+
+    @pytest.mark.parametrize("name,where", [
+        ("quoted_newline_then_bad_cell", "line 3, column 2"),
+        ("quoted_newline_then_ragged", "line 3: expected 2 columns"),
+    ])
+    def test_errors_name_the_physical_line(self, tmp_path, name, where):
+        # The second record ends on the third line: its quoted newline
+        # counts.
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes({case[0]: case[1] for case in LOADER_CORPUS}[name].encode())
+        with pytest.raises(ValueError, match=where):
+            linmod._parse_rows(str(path), False)
 
     def test_vectors(self, tmp_path):
         for text in ("1\n2\n3\n", "1,2,3\n", '"4"\r\n\r\n5\r\n'):
