@@ -38,7 +38,7 @@ from .intervals import (
     min_coverage,
 )
 from .gauss import z_quantile
-from .kernel import ConsistencyError, PretestSpec, r
+from .kernel import PretestSpec, r
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -276,22 +276,17 @@ def cmd_figure1(args: argparse.Namespace) -> int:
 
 def cmd_cmin(args: argparse.Namespace) -> int:
     """Print the minimum-coverage report for each requested rule."""
-    reports = [(rule, min_coverage(args.rho, args.spec, args.alpha, rule))
-               for rule in args.rules]
-    for rule, rep in reports:
-        print(
-            f"rule={rule.value} c_min={_fmt(rep.c_min)} "
-            f"argmin_gamma={_fmt(rep.argmin_gamma)} "
-            f"grid_step={_fmt(rep.search_grid_step)} "
-            f"refinement_tolerance={_fmt(rep.refinement_tolerance)}"
-        )
+    rows = []
+    for rule in args.rules:
+        rep = min_coverage(args.rho, args.spec, args.alpha, rule)
+        rows.append((rule.value, _fmt(rep.c_min), _fmt(rep.argmin_gamma),
+                     _fmt(rep.search_grid_step), _fmt(rep.refinement_tolerance)))
+    for row in rows:
+        print("rule={} c_min={} argmin_gamma={} grid_step={} refinement_tolerance={}"
+              .format(*row))
     if args.out is not None:
-        lines = ["rule,c_min,argmin_gamma,search_grid_step,refinement_tolerance"] + [
-            ",".join((rule.value, _fmt(rep.c_min), _fmt(rep.argmin_gamma),
-                      _fmt(rep.search_grid_step), _fmt(rep.refinement_tolerance)))
-            for rule, rep in reports
-        ]
-        _emit(args.out, lines)
+        _emit(args.out, ["rule,c_min,argmin_gamma,search_grid_step,refinement_tolerance"]
+              + [",".join(row) for row in rows])
     return EXIT_OK
 
 
@@ -306,9 +301,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             args.sigma,
             header=args.header,
         )
-    except OSError as exc:
-        raise CLIError(str(exc)) from exc
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise CLIError(str(exc)) from exc
     try:
         fitted = linmod.fit(data)
@@ -442,13 +435,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         _check_args(args)
         return _COMMANDS[args.command][0](args)
-    except CLIError as exc:
+    except (CLIError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ConsistencyError, ArithmeticError, RuntimeError) as exc:
+    except (ArithmeticError, RuntimeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -289,14 +289,8 @@ def r(gamma: float | np.ndarray, rho: float, spec: PretestSpec) -> float | np.nd
     g = _finite(gamma, "r")
     _, cov, var = _moments(g.ravel(), spec)
     arg = 1.0 - 2.0 * rho * rho * cov + rho * rho * var
-    bad = arg < _SQRT_ARG_FLOOR
-    if np.any(bad):
-        worst = float(np.min(arg))
-        raise ConsistencyError(
-            f"r: squared scale came out {worst:.3e} < {_SQRT_ARG_FLOOR:.0e}; "
-            "the kernel moment identities are violated"
-        )
-    return _like(gamma, g, np.sqrt(np.maximum(arg, 0.0)).reshape(g.shape))
+    scale = _clamped_sqrt(arg, "r", "; the kernel moment identities are violated")
+    return _like(gamma, g, scale.reshape(g.shape))
 
 
 def r_delta(
@@ -317,12 +311,17 @@ def r_delta(
 
 def _delta_factor(qv, rho: float):
     """r_delta from q, with the clamp and the consistency floor."""
-    arg = 1.0 - 2.0 * rho * rho * qv + rho * rho * qv * qv
-    bad = np.asarray(arg < _SQRT_ARG_FLOOR)
-    if np.any(bad):
+    return _clamped_sqrt(1.0 - 2.0 * rho * rho * qv + rho * rho * qv * qv, "r_delta")
+
+
+def _clamped_sqrt(arg, name: str, detail: str = ""):
+    """sqrt(arg) for a squared scale: values in [_SQRT_ARG_FLOOR, 0) are
+    rounding and clamped to zero, anything below raises ConsistencyError
+    naming ``name``, with ``detail`` appended to the message."""
+    if np.any(arg < _SQRT_ARG_FLOOR):
         worst = float(np.min(arg))
         raise ConsistencyError(
-            f"r_delta: squared scale came out {worst:.3e} < {_SQRT_ARG_FLOOR:.0e}"
+            f"{name}: squared scale came out {worst:.3e} < {_SQRT_ARG_FLOOR:.0e}{detail}"
         )
     return np.sqrt(np.maximum(arg, 0.0))
 

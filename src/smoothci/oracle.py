@@ -45,10 +45,6 @@ from .gauss import z_quantile
 from .intervals import IntervalRule, Scenario
 from .kernel import PretestSpec
 
-#: The select-then-estimate shift alone: finite-B centers average it
-#: over (rows x B) blocks of resamples, which need no factor.
-_PMS_SHIFT = kernel._pms_shift
-
 #: Replications per random substream.  Part of the output contract:
 #: changing it reshuffles which draws land in which substream.
 CHUNK = 8192
@@ -264,7 +260,7 @@ def _centers_finite_B(
             z1 = rng.standard_normal((hi - lo, B))
             gamma_star = gamma_hat[lo:hi, None] + z0s
             theta_star = theta_std[lo:hi, None] + rho * z0s + sq * z1
-            out[lo:hi] = np.mean(theta_star - _PMS_SHIFT(gamma_star, rho, spec), axis=1)
+            out[lo:hi] = np.mean(theta_star - kernel._pms_shift(gamma_star, rho, spec), axis=1)
     return out
 
 

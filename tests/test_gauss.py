@@ -135,6 +135,23 @@ class TestZQuantile:
         for p in (1e-8, 1e-4, 0.02, 0.3, 0.5, 0.8, 0.975, 0.9999, 1 - 1e-9):
             assert z_quantile(p) == pytest.approx(quantile_oracle(p), abs=1e-10)
 
+    @pytest.mark.parametrize("k", range(3, 16))
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_near_half_follows_the_probit_series(self, k, sign):
+        # z(1/2 + t) = w + w^3/6 + 7 w^5/120 + O(w^7) with w = sqrt(2 pi) t;
+        # for |t| <= 1e-3 the dropped terms are below 0.1 ulp, and
+        # p - 1/2 is exact, so this checks the relative accuracy of a
+        # quantile that goes to 0.
+        p = 0.5 + sign * 10.0**-k
+        w = math.sqrt(2.0 * math.pi) * (p - 0.5)
+        series = w + w**3 / 6.0 + 7.0 * w**5 / 120.0
+        assert abs(z_quantile(p) - series) <= 4 * math.ulp(series)
+
+    @pytest.mark.parametrize("p", [1e-302, 1e-305, 1e-310])
+    def test_relative_accuracy_where_the_density_underflows(self, p):
+        ref = quantile_oracle(p)
+        assert abs(z_quantile(p) - ref) <= 1e-13 * abs(ref)
+
     def test_roundtrip_through_cdf(self):
         for p in (0.001, 0.1, 0.45, 0.6, 0.9, 0.99999):
             assert Phi(z_quantile(p)) == pytest.approx(p, abs=1e-10)

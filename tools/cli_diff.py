@@ -43,7 +43,8 @@ FIT = ["fit", "--design", "design.csv", *FIT_REST]
 CMIN = ["cmin", "--rho", "0.7"]
 CURVE = ["curve", "--quantity", "cp", "--rho", "0"]
 
-#: Each help text, a small valid call of every subcommand, and each
+#: Each help text, a small valid call of every subcommand, calls whose
+#: normal quantiles lie in the body and the far tails, and each
 #: argument and validation error.
 CORPUS = [
     ["-h"],
@@ -54,6 +55,10 @@ CORPUS = [
     ["figure1", "--rho", "0.3", "--gamma-max", "1", "--step", "0.5"],
     CMIN,
     [*CMIN, "--rules", "pms, sd_delta", "--alpha", "0.1", "--out", "cmin.csv"],
+    ["cmin", "--rho", "0.5", "--pretest-size", "0.999"],
+    [*CMIN, "--alpha", "0.98"],
+    [*CMIN, "--alpha", "1e-15"],
+    [*CMIN, "--pretest-size", "1e-15"],
     [*FIT, "--sigma", "1"],
     [*FIT, "--sigma", "0.5", "--pretest-size", "0.2"],
     ["verify", "--reps", "2000", "--seed", "9", "--tolerance", "50"],
