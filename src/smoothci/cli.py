@@ -1,19 +1,11 @@
-"""Command-line surface.
+"""Command-line surface: one handler per subcommand.
 
-Subcommands:
-
-* ``curve``: tabulate one coverage or length quantity on a gamma grid.
-* ``figure1``: the headline two-panel dataset (coverage of the
-  delta-method smoothed interval and of the naive post-selection
-  interval, plus scaled expected length) at the default configuration.
-* ``cmin``: minimum coverage reports for the requested rules.
-* ``fit``: fit a dataset from CSV files and print the four intervals.
-* ``verify``: Monte Carlo versus analytic agreement suite.
-
-All numeric output is printed with 12 significant digits and fixed
-column order, so identical flags give byte-identical output.  Exit
-codes: 0 success, 1 validation error, 2 numeric failure, 3
-verification failure.
+``main`` registers the invoked subcommand's flags (_build_parser), checks
+them and adds their parsed values to the namespace (_check_args), and
+calls the subcommand's ``cmd_*`` handler with that namespace.  It turns
+a validation error into exit code 1 and a numeric failure into 2.  The
+text of ``smoothci -h`` is _build_parser's description, so editing this
+docstring leaves the help unchanged.
 """
 
 from __future__ import annotations
@@ -142,7 +134,20 @@ def _build_parser(commands: Iterable[str]) -> _Parser:
     change how its arguments parse; without one (no command, an unknown
     one, ``-h``) it registers all, for the top-level help and errors.
     """
-    parser = _Parser(prog="smoothci", description=__doc__, add_help=True)
+    parser = _Parser(prog="smoothci", add_help=True, description=(
+        "Command-line surface.\n\n"
+        "Subcommands:\n\n"
+        "* ``curve``: tabulate one coverage or length quantity on a gamma grid.\n"
+        "* ``figure1``: the headline two-panel dataset (coverage of the\n"
+        "  delta-method smoothed interval and of the naive post-selection\n"
+        "  interval, plus scaled expected length) at the default configuration.\n"
+        "* ``cmin``: minimum coverage reports for the requested rules.\n"
+        "* ``fit``: fit a dataset from CSV files and print the four intervals.\n"
+        "* ``verify``: Monte Carlo versus analytic agreement suite.\n\n"
+        "All numeric output is printed with 12 significant digits and fixed\n"
+        "column order, so identical flags give byte-identical output.  Exit\n"
+        "codes: 0 success, 1 validation error, 2 numeric failure, 3\n"
+        "verification failure.\n"))
     sub = parser.add_subparsers(dest="command", required=True)
     for name in commands:
         _, summary, add_flags = _COMMANDS[name]

@@ -5,8 +5,10 @@ normal density, its CDF, its quantile, interval probabilities of a
 normal variate, orthant probabilities of a correlated normal pair, and
 integrals of smooth functions against a shifted standard normal
 density.  The quadrature engine is a composite Gauss-Legendre rule with
-equal panels; the coverage and length integrals lay its one-panel rule
-end to end on a lattice in the restriction statistic (see intervals).
+equal panels, built afresh on each call; the coverage and length
+integrals lay its one-panel rule end to end on a lattice in the
+restriction statistic, and build it once per prepared curve (see
+intervals).
 With the default half width of 8 the neglected tail mass of a window
 is at most 2*Phi(-8), about 1.2e-15, far below every tolerance used in
 this package.  bvn_orthant gives the bivariate probabilities through
@@ -25,8 +27,7 @@ per gamma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -42,11 +43,6 @@ HALF_WIDTH = 8.0
 DEFAULT_PANELS = 40
 #: Gauss-Legendre nodes per panel.
 DEFAULT_ORDER = 10
-#: Most rules kept by the rule cache.  The integrals' lattice asks for
-#: a one-panel rule whose width depends on the correlation and the
-#: cutoff, so a sweep over many of them asks for a new rule each time;
-#: the bound keeps such a sweep from holding them all.
-_RULE_CACHE_SIZE = 256
 
 
 def phi(x: float | np.ndarray) -> float | np.ndarray:
@@ -159,59 +155,16 @@ def _interval(l, u, mu, s):
     return np.minimum(np.maximum(p, 0.0), 1.0)
 
 
-@dataclass(frozen=True, eq=False)
-class QuadratureRule:
+class QuadratureRule(NamedTuple):
     """A fixed quadrature rule: nodes, plain Lebesgue weights, support.
 
     Weights carry no density factor; integrating f against the normal
-    density means summing weights * phi(nodes) * f(nodes).  Instances
-    are cached and shared, so the arrays are locked read-only.
+    density means summing weights * phi(nodes) * f(nodes).
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     support: tuple[float, float]
-
-    def __post_init__(self) -> None:
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if nodes.ndim != 1 or weights.ndim != 1 or nodes.size != weights.size:
-            raise ValueError("QuadratureRule: nodes and weights must be 1-d and equally long")
-        if nodes.size < 2:
-            raise ValueError("QuadratureRule: need at least two nodes")
-        if not np.all(np.isfinite(nodes)) or not np.all(np.isfinite(weights)):
-            raise ValueError("QuadratureRule: non-finite node or weight")
-        if np.any(np.diff(nodes) <= 0.0):
-            raise ValueError("QuadratureRule: nodes must be strictly increasing")
-        if np.any(weights <= 0.0):
-            raise ValueError("QuadratureRule: weights must be positive")
-        lo, hi = self.support
-        if not (lo < hi) or nodes[0] <= lo or nodes[-1] >= hi:
-            raise ValueError("QuadratureRule: nodes must lie strictly inside the support")
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "support", (float(lo), float(hi)))
-
-
-@lru_cache(maxsize=None)
-def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1]."""
-    return leggauss(order)
-
-
-@lru_cache(maxsize=_RULE_CACHE_SIZE)
-def _rule_cached(half_width: float, panels: int, order: int) -> QuadratureRule:
-    base_x, base_w = _legendre(order)
-    edges = np.linspace(-half_width, half_width, panels + 1)
-    mid = 0.5 * (edges[:-1, None] + edges[1:, None])
-    half = 0.5 * (edges[1:, None] - edges[:-1, None])
-    return QuadratureRule(
-        nodes=(mid + half * base_x).ravel(),
-        weights=(half * base_w).ravel(),
-        support=(-half_width, half_width),
-    )
 
 
 def quadrature_rule(
@@ -229,7 +182,13 @@ def quadrature_rule(
         raise ValueError("quadrature_rule: need panels >= 1 and order >= 2")
     if not half_width > 0.0:
         raise ValueError("quadrature_rule: half_width must be positive")
-    return _rule_cached(float(half_width), int(panels), int(order))
+    base_x, base_w = leggauss(order)
+    edges = np.linspace(-half_width, half_width, panels + 1)
+    mid = 0.5 * (edges[:-1, None] + edges[1:, None])
+    half = 0.5 * (edges[1:, None] - edges[:-1, None])
+    return QuadratureRule(nodes=(mid + half * base_x).ravel(),
+                          weights=(half * base_w).ravel(),
+                          support=(-half_width, half_width))
 
 
 def _upper_tail(x: np.ndarray) -> np.ndarray:

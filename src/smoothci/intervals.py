@@ -29,16 +29,17 @@ density, on a lattice of Gauss-Legendre panels anchored at h = 0 that
 does not depend on gamma: each gamma reads the window of whole panels
 covering [gamma - 8, gamma + 8].  The rule's shift and factor depend
 on h alone, so the pair is evaluated once per lattice node, not once
-per (gamma, node).  Everything a coverage or length evaluation needs
-that does not depend on gamma is prepared once per (rule, rho, spec,
-alpha) and cached (_prepared): for the SD rules z_a, the nominal
-coverage, the lattice with its tiled weights, and the shifts, factors
-and interval ends on a kept span of panels, checked once per evaluated
-span; for PMS the constants of its closed form.  A single gamma, such
-as a golden-section step of the minimizer, then reads its window as
-slices of the kept span and costs one window of arithmetic, and a
-coverage array evaluates only the gammas the rule's last array did not
-hold.
+per (gamma, node).  Everything an SD rule's coverage or length
+evaluation needs that does not depend on gamma is prepared once per
+(rule, rho, spec, alpha) and cached (_prepared, the only cache the
+integrals keep): z_a, the nominal coverage, the lattice with its tiled
+weights, and the shifts, factors and interval ends on a kept span of
+panels, checked once per evaluated span.  A single gamma, such as a
+golden-section step of the minimizer, then reads its window as slices
+of the kept span and costs one window of arithmetic, and a coverage
+array evaluates only the gammas the rule's last array did not hold.
+The PMS coverage computes the few constants of its closed form per
+call.
 The integrals call the unchecked cores of gauss (Phi_interval's
 _interval, bvn_orthant's _orthant).  The panels are narrowed
 as |rho| nears 1 or the cutoff grows, where the integrand switches
@@ -411,40 +412,22 @@ class _Curve:
         self.memo = (bits[order], coverages[order])
 
 
-class _PmsCurve:
-    """The constants of the closed-form PMS coverage for one (rho, spec,
-    alpha): |rho| and sqrt(1 - rho^2), the ends of the accepted branch
-    and of the narrow interval, and the strips' second corner
-    coordinates +-z_a (see coverage_pms)."""
-
-    def __init__(self, rho: float, spec: PretestSpec, alpha: float) -> None:
-        z_a = z_quantile(1.0 - 0.5 * alpha)
-        self.rho, self.d = abs(rho), spec.d
-        self.sd = math.sqrt(1.0 - self.rho * self.rho)
-        self.lower = np.array([[-spec.d], [-z_a]])
-        self.upper = np.array([[spec.d], [z_a]])
-        self.corner = np.array([z_a, -z_a])[:, None, None]
-
-
-@lru_cache(maxsize=3)
-def _prepared(which: IntervalRule, geometry: kernel.RuleGeometry, rho: float,
-              spec: PretestSpec, alpha: float) -> _Curve | _PmsCurve:
-    """The prepared curves of the last three (rule, rho, spec, alpha)
-    integrated, as many as there are rules with a coverage curve.
+@lru_cache(maxsize=2)
+def _prepared(geometry: kernel.RuleGeometry, rho: float, spec: PretestSpec,
+              alpha: float) -> _Curve:
+    """The prepared curves of the last two (rule, rho, spec, alpha)
+    integrated, one per smoothed rule.
 
     Consecutive evaluations of one rule, such as the minimizer's grid
     and its golden-section steps, share one: each golden-section step
     reads its window as slices of the span the grid kept, and figure1's
-    delta-method curves keep theirs while its PMS curve runs.  The key
-    holds the rule's entry of kernel.RULES, not just its name.
+    delta-method length curve reuses the span of its coverage curve.
+    The key holds the rule's entry of kernel.RULES, not just its name.
+    This is the only cache the integrals use: the lattice's one-panel
+    rule is built once per prepared curve, and the closed-form PMS
+    coverage needs none.
     """
-    if which is IntervalRule.PMS:
-        return _PmsCurve(rho, spec, alpha)
     return _Curve(geometry, rho, spec, alpha)
-
-
-def _curve_of(scenario: Scenario, spec: PretestSpec, alpha: float, which: IntervalRule):
-    return _prepared(which, kernel.RULES[which], scenario.rho, spec, alpha)
 
 
 def _windows(curve: _Curve, gammas, names: tuple[str, ...], check: str):
@@ -533,7 +516,7 @@ def _coverage(
     exactly flat in gamma, and the few 1e-15 of density mass beyond a
     window multiply only the departure.
     """
-    curve = _curve_of(scenario, spec, _check_alpha(alpha), which)
+    curve = _prepared(kernel.RULES[which], scenario.rho, spec, _check_alpha(alpha))
     if np.ndim(scenario.gamma) == 0:
         return float(_covered(curve, float(scenario.gamma), np.empty(1))[0])
     gammas = scenario.gamma
@@ -595,14 +578,16 @@ def coverage_pms(scenario: Scenario, spec: PretestSpec, alpha: float) -> float |
     for bit.
     At rho = 0 it is identically 1 - alpha.
     """
-    curve = _curve_of(scenario, spec, _check_alpha(alpha), IntervalRule.PMS)
+    z_a = z_quantile(1.0 - 0.5 * _check_alpha(alpha))
+    rho, d = abs(scenario.rho), spec.d
+    sd = math.sqrt(1.0 - rho * rho)
     gamma = np.atleast_1d(np.asarray(scenario.gamma, dtype=float))
-    accept, narrow = gauss._interval(curve.lower, curve.upper,
-                                     np.array([gamma, curve.rho * gamma / curve.sd]), 1.0)
-    beyond = np.array([curve.d - gamma, curve.d + gamma])
+    accept, narrow = gauss._interval(np.array([[-d], [-z_a]]), np.array([[d], [z_a]]),
+                                     np.array([gamma, rho * gamma / sd]), 1.0)
+    beyond = np.array([d - gamma, d + gamma])
     # Both strip families, k = z_a and k = -z_a, in one call.
     h = np.array([beyond, beyond])
-    orthants = gauss._orthant(h, np.zeros_like(h) + curve.corner, curve.rho)
+    orthants = gauss._orthant(h, np.zeros_like(h) + np.array([z_a, -z_a])[:, None, None], rho)
     strips = orthants[0] - orthants[1]
     return _like(scenario, np.clip(accept * narrow + (strips[0] + strips[1]), 0.0, 1.0))
 
@@ -715,7 +700,7 @@ def _scaled_length(
     if not 0.0 < c_min < 1.0:
         raise ValueError(f"scaled expected length: c_min must be in (0, 1), got {c_min}")
     ratio = z_quantile(1.0 - 0.5 * alpha) / z_quantile(0.5 * (1.0 + c_min))
-    curve = _curve_of(scenario, spec, alpha, which)
+    curve = _prepared(kernel.RULES[which], scenario.rho, spec, alpha)
     gammas = float(scenario.gamma) if np.ndim(scenario.gamma) == 0 else scenario.gamma
     out = np.empty(np.size(gammas))
     for positions, _, _, mass, factor in _windows(curve, gammas, ("factor",), "factor"):

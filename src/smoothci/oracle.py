@@ -49,9 +49,8 @@ from .kernel import PretestSpec
 #: changing it reshuffles which draws land in which substream.
 CHUNK = 8192
 
-#: Spec'd replication counts: acceptance runs and quick smoke runs.
+#: Spec'd replication count of acceptance runs.
 DEFAULT_REPLICATIONS = 1_000_000
-SMOKE_REPLICATIONS = 10_000
 
 #: Resamples per block of the finite-B centers: a block has
 #: rows = max(1, _MAX_BOOT_BLOCK // B) rows of B resamples.  Part of

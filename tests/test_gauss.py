@@ -20,7 +20,6 @@ from smoothci import gauss
 from smoothci.gauss import (
     Phi,
     Phi_interval,
-    QuadratureRule,
     bvn_orthant,
     phi,
     quadrature_rule,
@@ -246,23 +245,10 @@ class TestQuadratureRule:
         assert np.array_equal(breakpoint_rule((25.0,)).nodes, plain.nodes)
         assert np.array_equal(breakpoint_rule((25.0,)).weights, plain.weights)
 
-    def test_rules_are_cached_and_immutable(self):
-        rule = quadrature_rule()
-        assert quadrature_rule() is rule
-        with pytest.raises(ValueError):
-            rule.nodes[0] = 0.0
-
     def test_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureRule(nodes=np.array([0.0, -1.0]), weights=np.array([1.0, 1.0]),
-                           support=(-2.0, 2.0))
-        with pytest.raises(ValueError):
-            QuadratureRule(nodes=np.array([0.0, 1.0]), weights=np.array([1.0, -1.0]),
-                           support=(-2.0, 2.0))
-        with pytest.raises(ValueError):
-            QuadratureRule(nodes=np.array([0.0]), weights=np.array([1.0]), support=(-1.0, 1.0))
-        with pytest.raises(ValueError):
-            quadrature_rule(panels=0)
+        for bad in ({"panels": 0}, {"order": 1}, {"half_width": 0.0}):
+            with pytest.raises(ValueError, match="quadrature_rule: "):
+                quadrature_rule(**bad)
 
     def test_close_breakpoints_merge_against_the_last_kept_edge(self):
         # tol = 8e-12 at half width 8.  Of x, x + 5e-12, x + 1e-11 the

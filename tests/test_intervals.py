@@ -544,20 +544,21 @@ class TestCurve:
         assert tab.alpha == ALPHA
         assert tab.pretest is SPEC10
 
-    def test_fine_pms_curve_keeps_the_rule_cache_bounded(self):
+    def test_fine_pms_curve_builds_no_rule_and_no_prepared_curve(self, monkeypatch):
         # The PMS coverage is closed form: a fine curve builds no
-        # quadrature rule at all.
-        gauss._rule_cached.cache_clear()
+        # quadrature rule and prepares no lattice.
+        rules = []
+        build = gauss.quadrature_rule
+
+        def counted(**kwargs):
+            rules.append(kwargs)
+            return build(**kwargs)
+
+        monkeypatch.setattr(gauss, "quadrature_rule", counted)
+        misses = intervals_mod._prepared.cache_info().misses
         tab = curve(Quantity.CP_PMS, 0.7, SPEC10, ALPHA, gamma_max=3.0, step=0.001)
-        assert gauss._rule_cached.cache_info().currsize == 0
-        # A caller that sweeps rule shapes through quadrature_rule, as
-        # the SD integrals do over correlations, finds the cache bounded.
-        for n in range(gauss._RULE_CACHE_SIZE + 50):
-            gauss.quadrature_rule(panels=1, half_width=0.01 * (n + 1))
-        info = gauss._rule_cached.cache_info()
-        assert info.misses > gauss._RULE_CACHE_SIZE
-        assert info.currsize <= gauss._RULE_CACHE_SIZE
-        gauss._rule_cached.cache_clear()
+        assert rules == []
+        assert intervals_mod._prepared.cache_info().misses == misses
         for g, v in zip(tab.gammas[::97], tab.values[::97]):
             assert v == coverage_pms(Scenario(float(g), 0.7), SPEC10, ALPHA)
 
@@ -602,6 +603,20 @@ class TestCurve:
 class TestPreparedCurve:
     """A scalar call reads its window as slices of the prepared curve's
     kept span; an array call skips the gammas the last array held."""
+
+    @pytest.mark.parametrize("d", [0.05, 1.645, 2.0, 10.0, 30.0])
+    def test_lattice_rule_is_the_scaled_legendre_rule_bit_for_bit(self, d):
+        # A panel of width W holds the Gauss-Legendre rule on [-1, 1]
+        # scaled by W / 2, with no other rounding, at every width the
+        # correlation and the cutoff choose.
+        x, w = np.polynomial.legendre.leggauss(gauss.DEFAULT_ORDER)
+        spec = PretestSpec.from_cutoff(d)
+        for rho in np.linspace(-0.999, 0.999, 41):
+            lattice = intervals_mod._Curve(kernel.RULES[IntervalRule.SD], float(rho), spec, ALPHA)
+            half = 0.5 * lattice.width
+            assert np.array_equal(lattice.nodes, half * x), rho
+            panels = lattice.weights.reshape(lattice.window, gauss.DEFAULT_ORDER)
+            assert np.array_equal(panels, np.broadcast_to(half * w, panels.shape)), rho
 
     @staticmethod
     def bad_factor(monkeypatch, value):

@@ -44,8 +44,10 @@ CMIN = ["cmin", "--rho", "0.7"]
 CURVE = ["curve", "--quantity", "cp", "--rho", "0"]
 
 #: Each help text, a small valid call of every subcommand, calls whose
-#: normal quantiles lie in the body and the far tails, and each
-#: argument and validation error.
+#: normal quantiles lie in the body and the far tails, calls that reach
+#: the narrow lattice of |rho| near 1, the closed-form PMS coverage and
+#: the merge of a prepared curve's kept span, and each argument and
+#: validation error.
 CORPUS = [
     ["-h"],
     *([name, "-h"] for name in ("curve", "figure1", "cmin", "fit", "verify")),
@@ -59,6 +61,11 @@ CORPUS = [
     [*CMIN, "--alpha", "0.98"],
     [*CMIN, "--alpha", "1e-15"],
     [*CMIN, "--pretest-size", "1e-15"],
+    ["cmin", "--rho", "-0.999", "--pretest-size", "0.05", "--rules", "sd_delta,pms"],
+    ["curve", "--quantity", "cp_pms", "--rho", "0.9", "--gamma-max", "3", "--step", "0.05"],
+    # The sel grid reaches past the minimizer's, so the SD curve's kept
+    # span grows by a merge.
+    ["curve", "--quantity", "sel", "--rho", "0.99", "--gamma-max", "14", "--step", "0.5"],
     [*FIT, "--sigma", "1"],
     [*FIT, "--sigma", "0.5", "--pretest-size", "0.2"],
     ["verify", "--reps", "2000", "--seed", "9", "--tolerance", "50"],
