@@ -46,13 +46,7 @@ from .linmod import (
     load_vector,
     residual_check,
 )
-from .oracle import (
-    SimPlan,
-    SimSummary,
-    StandardErrors,
-    simulate_pair,
-    smoothed_estimate_finite_B,
-)
+from .oracle import SimPlan, SimSummary, StandardErrors, simulate_pair
 
 __version__ = "0.1.0"
 
@@ -97,6 +91,5 @@ __all__ = [
     "SimSummary",
     "StandardErrors",
     "simulate_pair",
-    "smoothed_estimate_finite_B",
     "__version__",
 ]

@@ -29,7 +29,7 @@ from .intervals import (
     curve,
     min_coverage,
 )
-from .gauss import z_quantile
+from .gauss import _z_alpha, _z_level
 from .kernel import PretestSpec, r
 
 EXIT_OK = 0
@@ -187,7 +187,7 @@ def _check_args(args: argparse.Namespace) -> None:
     if not 0.0 < alpha < 1.0:
         raise CLIError(f"--alpha must be in (0, 1), got {alpha}")
     try:
-        z_quantile(1.0 - 0.5 * alpha)
+        _z_alpha(alpha)
     except ValueError as exc:
         raise _beyond_precision("--alpha", alpha, exc) from exc
 
@@ -387,7 +387,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     alpha=args.alpha,
                 )
                 summary = oracle.run(plan, rule)
-                denom = 2.0 * z_quantile(0.5 * (1.0 + c_min))
+                denom = 2.0 * _z_level(c_min)
                 ratio = summary.mean_length / denom
                 ratio_se = summary.standard_errors.mean_length / denom
                 checks = (

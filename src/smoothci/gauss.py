@@ -11,17 +11,18 @@ restriction statistic, and build it once per prepared curve (see
 intervals).
 With the default half width of 8 the neglected tail mass of a window
 is at most 2*Phi(-8), about 1.2e-15, far below every tolerance used in
-this package.  bvn_orthant gives the bivariate probabilities through
-Owen's T function, for the closed-form PMS coverage and the kernel
-moments.  The quantile is scipy's ndtri.
+this package.  _orthant gives the bivariate orthant probabilities
+through Owen's T function, for the closed-form PMS coverage, and
+_bvn_diagonal its diagonal, for the kernel moments.  The quantile is
+scipy's ndtri; _z_alpha and _z_level take from it the two critical
+values the intervals and lengths use, each in one place.
 
 The public functions check their input and then call a private core
-that holds the formula: phi calls _density, Phi_interval _interval and
-bvn_orthant _orthant.  The coverage integrals call the cores directly
-on arguments they build finite and ordered, and check what could go
-wrong once per evaluated span of the lattice instead (see intervals),
-so each formula has one definition and the checks run once, not once
-per gamma.
+that holds the formula: phi calls _density and Phi_interval _interval.
+The coverage integrals call the cores directly on arguments they build
+finite and ordered, and check what could go wrong once per evaluated
+span of the lattice instead (see intervals), so each formula has one
+definition and the checks run once, not once per gamma.
 """
 
 from __future__ import annotations
@@ -97,6 +98,16 @@ def z_quantile(a: float) -> float:
     if a < 0.5:
         return float(ndtri(a))
     return -float(ndtri(1.0 - a))
+
+
+def _z_alpha(alpha: float) -> float:
+    """z_quantile(1 - alpha/2), the critical value of a 1 - alpha interval."""
+    return z_quantile(1.0 - 0.5 * alpha)
+
+
+def _z_level(level: float) -> float:
+    """z_quantile((1 + level)/2), the critical value of a level interval."""
+    return z_quantile(0.5 * (1.0 + level))
 
 
 def Phi_interval(
@@ -220,18 +231,26 @@ def _wedge(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _bvn_diagonal(h: np.ndarray, rho: float) -> np.ndarray:
-    """bvn_orthant on its diagonal, P(X > h, Y <= h) = 2 T(h, (1 - rho)/s),
-    without input checks."""
+    """_orthant on its diagonal, P(X > h, Y <= h) = 2 T(h, (1 - rho)/s)."""
     return 2.0 * owens_t(h, (1.0 - rho) / math.sqrt((1.0 - rho) * (1.0 + rho)))
 
 
 def _orthant(h: np.ndarray, k: np.ndarray, rho: float) -> np.ndarray:
-    """bvn_orthant's formula without its input checks: h and k finite
-    arrays of one shape, |rho| < 1.
+    """P(X > h, Y <= k) for standard normal X, Y with correlation
+    |rho| < 1, at the corners of h and k, finite arrays of one shape;
+    unchecked, since its callers build their corners finite.
 
-    Off the diagonal the corner is split into two wedges (_wedge); the
-    diagonal formula is evaluated only at the corners with h == k,
-    where it replaces the split.
+    Every rectangle probability of the pair is a signed sum of these.
+    Off the diagonal the corner (h, k) is split along the ray from the
+    origin into two wedges, one per coordinate, each from Owen's T
+    (Owen 1956; scipy's owens_t implements Patefield and Tandy 2000).
+    Wedges far in the tail are evaluated without O(1) cancellation
+    (see _wedge), so a probability below the double range comes out
+    exactly 0.  On the diagonal h == k the probability is
+    2 T(h, (1 - rho)/s) with s = sqrt(1 - rho^2), which also holds at
+    the origin, where the split is undefined; there it is
+    1/4 - asin(rho)/(2 pi).  That formula is evaluated only at the
+    corners with h == k, where it replaces the split.
     """
     on_diagonal = h == k
     if on_diagonal.all():
@@ -249,31 +268,3 @@ def _orthant(h: np.ndarray, k: np.ndarray, rho: float) -> np.ndarray:
     if on_diagonal.any():
         out[on_diagonal] = _bvn_diagonal(h[on_diagonal], rho)
     return out
-
-
-def bvn_orthant(
-    h: float | np.ndarray, k: float | np.ndarray, rho: float
-) -> float | np.ndarray:
-    """P(X > h, Y <= k) for standard normal X, Y with correlation rho.
-
-    Every rectangle probability of the pair is a signed sum of these.
-    Off the diagonal the corner (h, k) is split along the ray from the
-    origin into two wedges, one per coordinate, each from Owen's T
-    (Owen 1956; scipy's owens_t implements Patefield and Tandy 2000).
-    Wedges far in the tail are evaluated without O(1) cancellation
-    (see _wedge), so a probability below the double range comes out
-    exactly 0.  On the diagonal h == k the probability is
-    2 T(h, (1 - rho)/s) with s = sqrt(1 - rho^2), which also holds at
-    the origin, where the general split is undefined; there it is
-    1/4 - asin(rho)/(2 pi).  Needs |rho| < 1 and finite h, k.  The
-    checks are made here; the formula is _orthant, which the PMS
-    coverage calls directly on corners it builds finite.
-    """
-    rho = float(rho)
-    if not abs(rho) < 1.0:
-        raise ValueError(f"bvn_orthant: need |rho| < 1, got {rho}")
-    h_arr, k_arr = np.broadcast_arrays(np.asarray(h, dtype=float), np.asarray(k, dtype=float))
-    if not (np.all(np.isfinite(h_arr)) and np.all(np.isfinite(k_arr))):
-        raise ValueError("bvn_orthant: corner must be finite")
-    out = _orthant(h_arr, k_arr, rho)
-    return float(out) if np.ndim(h) == 0 and np.ndim(k) == 0 else out

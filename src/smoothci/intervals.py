@@ -23,7 +23,7 @@ Coverage probabilities and scaled expected lengths depend on the
 unknown true parameters only through the standardized restriction
 offset gamma and the design correlation rho, bundled as a Scenario.
 The PMS coverage is closed form: bivariate normal probabilities from
-Owen's T (gauss.bvn_orthant).  The SD and SD_DELTA coverage and
+Owen's T (gauss._orthant).  The SD and SD_DELTA coverage and
 length are one-dimensional integrals in h against the N(gamma, 1)
 density, on a lattice of Gauss-Legendre panels anchored at h = 0 that
 does not depend on gamma: each gamma reads the window of whole panels
@@ -41,7 +41,7 @@ array evaluates only the gammas the rule's last array did not hold.
 The PMS coverage computes the few constants of its closed form per
 call.
 The integrals call the unchecked cores of gauss (Phi_interval's
-_interval, bvn_orthant's _orthant).  The panels are narrowed
+_interval and _orthant).  The panels are narrowed
 as |rho| nears 1 or the cutoff grows, where the integrand switches
 over a short range of h, so the default rule holds its accuracy up to
 RHO_MAX.  Nothing here takes quadrature knobs: every integral uses
@@ -72,7 +72,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import gauss, kernel
-from .gauss import Phi_interval, z_quantile
+from .gauss import Phi_interval, _z_alpha, _z_level
 from .kernel import RHO_MAX, FittedModel, IntervalRule, PretestSpec
 
 #: Tolerance on the minimized coverage value implied by stopping the
@@ -250,7 +250,7 @@ def build_interval(
     """
     alpha = _check_alpha(alpha)
     which = IntervalRule(which)
-    z_a = z_quantile(1.0 - 0.5 * alpha)
+    z_a = _z_alpha(alpha)
     scale = fit.sigma * math.sqrt(fit.v_theta)
     shift, factor = kernel.RULES[which].terms(fit.gamma_hat, fit.rho, spec)
     center = kernel._center(fit, shift)
@@ -318,7 +318,7 @@ class _Curve:
         self.size = self.local.size
         self.weights = np.tile(rule.weights, self.window)
         self.geometry, self.rho, self.spec = geometry, rho, spec
-        self.z_a = z_quantile(1.0 - 0.5 * alpha)
+        self.z_a = _z_alpha(alpha)
         # The full-model interval covers with this probability given any
         # h at rho = 0; only the departure from it is integrated.
         self.nominal = Phi_interval(-self.z_a, self.z_a, 0.0, 1.0)
@@ -578,7 +578,7 @@ def coverage_pms(scenario: Scenario, spec: PretestSpec, alpha: float) -> float |
     for bit.
     At rho = 0 it is identically 1 - alpha.
     """
-    z_a = z_quantile(1.0 - 0.5 * _check_alpha(alpha))
+    z_a = _z_alpha(_check_alpha(alpha))
     rho, d = abs(scenario.rho), spec.d
     sd = math.sqrt(1.0 - rho * rho)
     gamma = np.atleast_1d(np.asarray(scenario.gamma, dtype=float))
@@ -620,36 +620,26 @@ def _golden_min(f, a: float, b: float, xtol: float) -> tuple[float, float]:
     return (c, fc) if fc < fd else (d, fd)
 
 
-def min_coverage(
-    rho: float,
-    spec: PretestSpec,
-    alpha: float,
-    which: IntervalRule,
-    *,
-    gamma_max: float | None = None,
-) -> MinCoverageReport:
+def min_coverage(rho: float, spec: PretestSpec, alpha: float,
+                 which: IntervalRule) -> MinCoverageReport:
     """Minimum over gamma >= 0 of the coverage curve for one rule.
 
     Coverage is even in gamma, so the search runs on [0, gamma_max]
-    only.  A coarse uniform grid locates the basin and a golden-section
-    pass refines the minimizer to GAMMA_TOL; the reported c_min never
-    exceeds any evaluated coverage.  Far beyond the pretest cutoff the
-    smoothing kernel is a normal tail away from zero, so by the default
-    gamma_max, SEARCH_GAMMA_MAX or the cutoff plus the quadrature half
-    width if that is larger, the curve must have rejoined 1 - alpha; a
-    minimum still sitting on the boundary, or a boundary value away
-    from 1 - alpha, aborts the search rather than reporting a truncated
-    minimum.
+    only, with gamma_max SEARCH_GAMMA_MAX or the cutoff plus the
+    quadrature half width if that is larger.  A coarse uniform grid
+    locates the basin and a golden-section pass refines the minimizer
+    to GAMMA_TOL; the reported c_min never exceeds any evaluated
+    coverage.  Far beyond the pretest cutoff the smoothing kernel is a
+    normal tail away from zero, so by gamma_max the curve must have
+    rejoined 1 - alpha; a minimum still sitting on the boundary, or a
+    boundary value away from 1 - alpha, aborts the search rather than
+    reporting a truncated minimum.
     """
     alpha = _check_alpha(alpha)
     which = IntervalRule(which)
     if which not in _COVERAGE_BY_RULE:
         raise ValueError(f"min_coverage: no coverage curve to minimize for rule {which!r}")
-    if gamma_max is None:
-        gamma_max = max(SEARCH_GAMMA_MAX, spec.d + gauss.HALF_WIDTH)
-    if not SEARCH_GRID_STEP < gamma_max < math.inf:
-        raise ValueError(f"min_coverage: need {SEARCH_GRID_STEP} < gamma_max < inf, "
-                         f"got {gamma_max}")
+    gamma_max = max(SEARCH_GAMMA_MAX, spec.d + gauss.HALF_WIDTH)
     cov = _COVERAGE_BY_RULE[which]
 
     def f(g: float) -> float:
@@ -666,7 +656,7 @@ def min_coverage(
     if abs(vals[n] - (1.0 - alpha)) > 1e-3:
         raise RuntimeError(
             "min_coverage: coverage has not rejoined its large-gamma limit "
-            f"by gamma = {grid[n]} (got {vals[n]:.6f}); widen the search"
+            f"by gamma = {grid[n]} (got {vals[n]:.6f})"
         )
     lo = grid[i - 1] if i > 0 else grid[0]
     hi = grid[i + 1]
@@ -699,7 +689,7 @@ def _scaled_length(
     c_min = float(c_min)
     if not 0.0 < c_min < 1.0:
         raise ValueError(f"scaled expected length: c_min must be in (0, 1), got {c_min}")
-    ratio = z_quantile(1.0 - 0.5 * alpha) / z_quantile(0.5 * (1.0 + c_min))
+    ratio = _z_alpha(alpha) / _z_level(c_min)
     curve = _prepared(kernel.RULES[which], scenario.rho, spec, alpha)
     gammas = float(scenario.gamma) if np.ndim(scenario.gamma) == 0 else scenario.gamma
     out = np.empty(np.size(gammas))

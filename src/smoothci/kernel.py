@@ -15,7 +15,7 @@ estimator on the standardized scale.  All kernel functions here are
 closed form: k, q and r_delta in the normal density and CDF, r in
 those and Owen's T function, which gives the probability of the
 square a pair of correlated normal draws must land in (its diagonal
-corners as gauss.bvn_orthant takes them).
+corners as gauss._bvn_diagonal takes them).
 
 The four interval rules are defined here too, in one table, RULES:
 each rule is one function of the standardized restriction statistic
@@ -43,7 +43,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import owens_t
 
-from .gauss import _SQRT2, Phi, _bvn_diagonal, _density, _upper_tail, z_quantile
+from .gauss import _SQRT2, Phi, _bvn_diagonal, _density, _upper_tail, _z_alpha
 
 #: Largest correlation magnitude accepted by the smoothing analysis.
 #: The coverage and length functionals degenerate as |rho| -> 1; the
@@ -98,7 +98,7 @@ class PretestSpec:
         alpha1 = float(alpha1)
         if not 0.0 < alpha1 < 1.0:
             raise ValueError(f"PretestSpec.from_size: size must be in (0, 1), got {alpha1}")
-        return cls(d=z_quantile(1.0 - 0.5 * alpha1), alpha1=alpha1)
+        return cls(d=_z_alpha(alpha1), alpha1=alpha1)
 
     @classmethod
     def from_cutoff(cls, d: float) -> "PretestSpec":
@@ -221,7 +221,7 @@ def _moments(g: np.ndarray, spec: PretestSpec) -> tuple[np.ndarray, np.ndarray, 
     [a, b]^2 with a = (-d - g) / sqrt(2), b = (d - g) / sqrt(2).  Its
     probability comes from Owen's T (Owen 1956): the diagonal corners
     Phi2(h, h) = Phi(h) - 2 T(h, 1/sqrt(3)), which the general formula
-    gets wrong at h = 0, as gauss.bvn_orthant takes them, and the
+    gets wrong at h = 0, as gauss._bvn_diagonal takes them, and the
     general formula at (a, b).  The first and cross moments over the
     square come from the multivariate Stein identity
     E[X_i f(X)] = sum_j Sigma_ij E[d_j f(X)], whose boundary terms
@@ -302,11 +302,10 @@ def r_delta(
 
     Same clamping and consistency policy as r.  Since |q| < 1 for the
     cutoffs this package accepts, the argument is bounded away from
-    zero and the clamp never fires in practice.
+    zero and the clamp never fires in practice.  It is the factor of
+    the SD_DELTA rule's terms.
     """
-    rho = _check_rho(rho)
-    g = _finite(gamma, "r_delta")
-    return _like(gamma, g, _delta_factor(_k_q(g, spec)[1], rho))
+    return _sd_delta_terms(gamma, rho, spec)[1]
 
 
 def _delta_factor(qv, rho: float):

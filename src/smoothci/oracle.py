@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .gauss import z_quantile
+from .gauss import _z_alpha
 from .intervals import IntervalRule, Scenario
 from .kernel import PretestSpec
 
@@ -170,9 +170,9 @@ class SimSummary:
 
 
 def simulate_pair(
-    scenario: Scenario, rng: np.random.Generator, size: int | None = None
-) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
-    """Draw (theta_hat_std, gamma_hat) from the joint law.
+    scenario: Scenario, rng: np.random.Generator, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``size`` pairs (theta_hat_std, gamma_hat) from the joint law.
 
     The pair is bivariate normal with means (0, gamma), unit variances
     and correlation rho; it is built from two independent standard
@@ -181,51 +181,15 @@ def simulate_pair(
         gamma_hat = gamma + Z1,
         theta_hat_std = rho * Z1 + sqrt(1 - rho^2) * Z2.
 
-    With size=None a single pair of floats comes back; otherwise two
-    arrays of the given length.
+    Returns two arrays of length ``size``.
     """
-    n = 1 if size is None else int(size)
+    n = int(size)
     if n < 1:
         raise ValueError(f"simulate_pair: size must be >= 1, got {size}")
     z = rng.standard_normal((2, n))
     gamma_hat = scenario.gamma + z[0]
     theta_hat_std = scenario.rho * z[0] + math.sqrt(1.0 - scenario.rho**2) * z[1]
-    if size is None:
-        return float(theta_hat_std[0]), float(gamma_hat[0])
     return theta_hat_std, gamma_hat
-
-
-def smoothed_estimate_finite_B(
-    theta_hat_std: float,
-    gamma_hat: float,
-    scenario_rho: float,
-    spec: PretestSpec,
-    B: int,
-    rng: np.random.Generator,
-) -> float:
-    """Average of the select-then-estimate rule over B parametric resamples.
-
-    Each resample redraws the estimator pair from its joint law with
-    the observed (theta_hat_std, gamma_hat) standing in for the true
-    parameters, applies the discontinuous post-selection rule, and the
-    B results are averaged.  As B grows this converges to the ideal
-    smoothed estimate at rate B^{-1/2}.  It is the one-row case of the
-    chunk path run uses.
-    """
-    B = int(B)
-    if B < 1:
-        raise ValueError(f"smoothed_estimate_finite_B: B must be >= 1, got {B}")
-    rho = float(scenario_rho)
-    if not math.isfinite(rho) or abs(rho) > kernel.RHO_MAX:
-        raise ValueError(
-            f"smoothed_estimate_finite_B: need |rho| <= {kernel.RHO_MAX}, got {rho}"
-        )
-    if not (math.isfinite(theta_hat_std) and math.isfinite(gamma_hat)):
-        raise ValueError("smoothed_estimate_finite_B: estimates must be finite")
-    center = _centers_finite_B(
-        np.array([float(theta_hat_std)]), np.array([float(gamma_hat)]), rho, spec, B, rng
-    )
-    return float(center[0])
 
 
 def _centers_finite_B(
@@ -236,7 +200,9 @@ def _centers_finite_B(
     B: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Finite-B smoothed centers for a whole chunk, blockwise in memory.
+    """Finite-B smoothed centers for a whole chunk, blockwise in memory:
+    each row's center is the mean of the select-then-estimate rule over
+    B parametric resamples of the estimator pair around that row's pair.
 
     Each block draws its z0 into one buffer that every block reuses,
     then its z1 one slice of rows at a time; each slice forms its rows'
@@ -280,7 +246,7 @@ def run(plan: SimPlan, rule: IntervalRule) -> SimSummary:
     """
     geometry = kernel.RULES[IntervalRule(rule)]
     rho = plan.scenario.rho
-    z_a = z_quantile(1.0 - 0.5 * plan.alpha)
+    z_a = _z_alpha(plan.alpha)
 
     n = plan.replications
     n_chunks = -(-n // CHUNK)

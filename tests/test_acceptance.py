@@ -344,13 +344,13 @@ def test_c7_finite_resample_convergence_rate():
     for B in bs:
         sq = 0.0
         for _ in range(reps):
-            th, gh = oracle.simulate_pair(scenario, rng)
+            th, gh = oracle.simulate_pair(scenario, rng, size=1)
             ideal = smoothed_estimate(
-                FittedModel(theta_hat=th, gamma_hat=gh, sigma=1.0,
+                FittedModel(theta_hat=float(th[0]), gamma_hat=float(gh[0]), sigma=1.0,
                             v_theta=1.0, v_tau=1.0, rho=0.7),
                 SPEC,
             )
-            fb = oracle.smoothed_estimate_finite_B(th, gh, 0.7, SPEC, B, rng)
+            fb = float(oracle._centers_finite_B(th, gh, 0.7, SPEC, B, rng)[0])
             sq += (fb - ideal) ** 2
         rms.append(math.sqrt(sq / reps))
     slope = float(np.polyfit(np.log(bs), np.log(rms), 1)[0])

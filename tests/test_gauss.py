@@ -20,7 +20,6 @@ from smoothci import gauss
 from smoothci.gauss import (
     Phi,
     Phi_interval,
-    bvn_orthant,
     phi,
     quadrature_rule,
     z_quantile,
@@ -299,17 +298,18 @@ class TestBvnOrthant:
     def test_against_quadrature(self, rho):
         h = np.array([c[0] for c in self.CORNERS])
         k = np.array([c[1] for c in self.CORNERS])
-        got = bvn_orthant(h, k, rho)
+        got = gauss._orthant(h, k, rho)
         for (hc, kc), g in zip(self.CORNERS, got):
             assert g == pytest.approx(self.reference(hc, kc, rho), abs=1e-14), (hc, kc)
-            assert bvn_orthant(hc, kc, rho) == g
+            assert gauss._orthant(np.array([hc]), np.array([kc]), rho)[0] == g
 
     def test_origin_is_the_diagonal_limit(self):
         for rho in (-0.9, -0.5, 0.0, 0.5, 0.9):
             want = 0.25 - math.asin(rho) / (2.0 * math.pi)
-            assert bvn_orthant(0.0, 0.0, rho) == pytest.approx(want, abs=1e-16)
+            assert gauss._orthant(np.array([0.0]), np.array([0.0]), rho)[0] == \
+                pytest.approx(want, abs=1e-16)
             # The same corner inside a mixed array.
-            assert bvn_orthant(np.array([0.0, 1.0]), np.array([0.0, 2.0]), rho)[0] == \
+            assert gauss._orthant(np.array([0.0, 1.0]), np.array([0.0, 2.0]), rho)[0] == \
                 pytest.approx(want, abs=1e-16)
 
     def test_far_tail_keeps_its_relative_accuracy(self):
@@ -321,12 +321,13 @@ class TestBvnOrthant:
                           (6.0, 2.0, 0.95), (4.0, -2.0, 0.8)):
             want = self.reference(h, k, rho, center=h)
             assert 0.0 < want < 1e-9
-            assert bvn_orthant(h, k, rho) == pytest.approx(want, rel=1e-5), (h, k, rho)
+            got = gauss._orthant(np.array([h]), np.array([k]), rho)[0]
+            assert got == pytest.approx(want, rel=1e-5), (h, k, rho)
 
     def test_diagonal_formula_runs_only_on_the_diagonal(self, monkeypatch):
         h = np.array([0.0, 1.0, 2.0, -0.5])
         k = np.array([0.0, 2.0, 2.0, 0.5])
-        want = bvn_orthant(h, k, 0.5)
+        want = gauss._orthant(h, k, 0.5)
         sizes = []
         diagonal = gauss._bvn_diagonal
 
@@ -335,18 +336,12 @@ class TestBvnOrthant:
             return diagonal(corners, rho)
 
         monkeypatch.setattr(gauss, "_bvn_diagonal", counted)
-        assert np.array_equal(bvn_orthant(h, k, 0.5), want)
+        assert np.array_equal(gauss._orthant(h, k, 0.5), want)
         assert sizes == [2]
 
     def test_beyond_the_double_range_is_zero(self):
-        assert bvn_orthant(3.94, 1.96, 0.999) == 0.0
-        assert bvn_orthant(3.94, -1.96, 0.999) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            bvn_orthant(0.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            bvn_orthant(math.inf, 0.0, 0.5)
+        got = gauss._orthant(np.array([3.94, 3.94]), np.array([1.96, -1.96]), 0.999)
+        assert np.array_equal(got, [0.0, 0.0])
 
 
 class TestIntegrateAgainstShiftedNormal:

@@ -388,13 +388,32 @@ class TestMinCoverage:
         for dg in (-0.01, 0.01):
             assert coverage_sd(Scenario(g + dg, 0.7), SPEC10, ALPHA) >= rep.c_min
 
-    def test_boundary_minimum_is_an_error(self):
-        with pytest.raises(RuntimeError, match="boundary"):
-            min_coverage(0.7, SPEC10, ALPHA, IntervalRule.SD, gamma_max=1.5)
+    @staticmethod
+    def patch_sd_delta_factor(monkeypatch, scale):
+        """Make the SD_DELTA rule's factor ``scale(h) * factor``."""
+        terms = kernel.RULES[IntervalRule.SD_DELTA].terms
 
-    def test_unflattened_boundary_is_an_error(self):
-        with pytest.raises(RuntimeError, match="rejoined"):
-            min_coverage(0.7, SPEC10, ALPHA, IntervalRule.SD_DELTA, gamma_max=2.0)
+        def scaled(h, rho, spec):
+            shift, factor = terms(h, rho, spec)
+            return shift, scale(h) * factor
+
+        monkeypatch.setitem(kernel.RULES, IntervalRule.SD_DELTA,
+                            kernel.RuleGeometry(terms=scaled, smoothed=True))
+
+    def test_boundary_minimum_is_an_error(self, monkeypatch):
+        # A factor that keeps shrinking as |h| grows: the coverage is
+        # still falling at the end of the search.
+        self.patch_sd_delta_factor(monkeypatch, lambda h: 1.0 / (1.0 + 0.05 * np.abs(h)))
+        with pytest.raises(RuntimeError, match="still decreasing at the search boundary "
+                                               "gamma = 12.0"):
+            min_coverage(0.7, SPEC10, ALPHA, IntervalRule.SD_DELTA)
+
+    def test_unflattened_boundary_is_an_error(self, monkeypatch):
+        # A factor 10 % short everywhere: the coverage levels off at
+        # 2 Phi(0.9 z) - 1, not at 1 - alpha.
+        self.patch_sd_delta_factor(monkeypatch, lambda h: 0.9)
+        with pytest.raises(RuntimeError, match=r"has not rejoined .* \(got 0\.922263\)$"):
+            min_coverage(0.7, SPEC10, ALPHA, IntervalRule.SD_DELTA)
 
     def test_default_search_reaches_past_a_large_cutoff(self):
         # with d = 9 the curve is still away from 1 - alpha at gamma = 12;
@@ -455,11 +474,6 @@ class TestMinCoverage:
     def test_full_model_has_no_curve(self):
         with pytest.raises(ValueError):
             min_coverage(0.7, SPEC10, ALPHA, IntervalRule.FULL_MODEL)
-
-    def test_grid_validation(self):
-        for gamma_max in (intervals_mod.SEARCH_GRID_STEP, 0.0, math.inf, math.nan):
-            with pytest.raises(ValueError, match="gamma_max"):
-                min_coverage(0.7, SPEC10, ALPHA, IntervalRule.SD, gamma_max=gamma_max)
 
     def test_report_validation(self):
         with pytest.raises(ValueError):

@@ -31,11 +31,15 @@ from smoothci.oracle import (
     _centers_finite_B,
     run,
     simulate_pair,
-    smoothed_estimate_finite_B,
 )
 
 SPEC10 = PretestSpec.from_size(0.10)
 ALPHA = 0.05
+
+
+def finite_B_center(theta, gamma, rho, B, rng):
+    """The finite-B center of one observed pair: the chunk path on one row."""
+    return float(_centers_finite_B(np.array([theta]), np.array([gamma]), rho, SPEC10, B, rng)[0])
 
 
 class TestSimPlan:
@@ -57,11 +61,6 @@ class TestSimPlan:
 
 
 class TestSimulatePair:
-    def test_scalar_mode(self):
-        rng = np.random.default_rng(0)
-        theta, gamma = simulate_pair(Scenario(2.0, 0.5), rng)
-        assert isinstance(theta, float) and isinstance(gamma, float)
-
     def test_size_validation(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
@@ -82,15 +81,6 @@ class TestSimulatePair:
 
 
 class TestFiniteB:
-    def test_validation(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            smoothed_estimate_finite_B(0.0, 0.0, 0.5, SPEC10, 0, rng)
-        with pytest.raises(ValueError):
-            smoothed_estimate_finite_B(0.0, 0.0, 0.9999, SPEC10, 10, rng)
-        with pytest.raises(ValueError):
-            smoothed_estimate_finite_B(math.nan, 0.0, 0.5, SPEC10, 10, rng)
-
     def test_is_the_direct_average_of_b_resamples(self):
         # The one-row call of the chunk path against the plain average
         # of B resampled select-then-estimate values, drawn as (2, B)
@@ -103,7 +93,7 @@ class TestFiniteB:
             seed = int(pick.integers(0, 2**32))
             theta, gamma, rho = pick.normal(), 3.0 * pick.normal(), pick.uniform(-0.999, 0.999)
             rng = np.random.Generator(np.random.Philox(seed))
-            got = smoothed_estimate_finite_B(theta, gamma, rho, SPEC10, B, rng)
+            got = finite_B_center(theta, gamma, rho, B, rng)
             ref = np.random.Generator(np.random.Philox(seed))
             z = ref.standard_normal((2, B))
             star = theta + rho * z[0] + math.sqrt(1.0 - rho * rho) * z[1]
@@ -161,7 +151,7 @@ class TestFiniteB:
         # no correlation means no adjustment: the average converges to
         # the observed estimate itself
         rng = np.random.default_rng(11)
-        est = smoothed_estimate_finite_B(0.37, 1.0, 0.0, SPEC10, 10_000, rng)
+        est = finite_B_center(0.37, 1.0, 0.0, 10_000, rng)
         assert est == pytest.approx(0.37, abs=4.0 / math.sqrt(10_000))
 
     def test_converges_to_ideal_smoothed_estimate(self):
@@ -170,7 +160,7 @@ class TestFiniteB:
         ideal = smoothed_estimate(fit, SPEC10)
         rng = np.random.default_rng(99)
         B = 100_000
-        est = smoothed_estimate_finite_B(0.2, 1.0, 0.7, SPEC10, B, rng)
+        est = finite_B_center(0.2, 1.0, 0.7, B, rng)
         assert est == pytest.approx(ideal, abs=5.0 / math.sqrt(B))
 
     def test_bootstrap_mean_is_unbiased_for_the_kernel(self):
@@ -178,8 +168,7 @@ class TestFiniteB:
         # rho * k(gamma_hat) in expectation; check it across many
         # independent finite-B evaluations at the same observed point
         rng = np.random.default_rng(5)
-        ests = [smoothed_estimate_finite_B(0.0, 0.8, 0.7, SPEC10, 400, rng)
-                for _ in range(400)]
+        ests = [finite_B_center(0.0, 0.8, 0.7, 400, rng) for _ in range(400)]
         target = -0.7 * k(0.8, SPEC10)
         se = np.std(ests) / math.sqrt(len(ests))
         assert np.mean(ests) == pytest.approx(target, abs=4 * se)
