@@ -347,9 +347,9 @@ class RuleGeometry:
     so on the data's scale it is centered on
     theta_hat - sigma * sqrt(v_theta) * shift(gamma_hat) with half width
     z * sigma * sqrt(v_theta) * factor(gamma_hat).  ``terms`` takes
-    (h, rho, spec) and returns the pair (shift, factor), both arrays
-    shaped like h, from one evaluation: a rule whose shift and factor
-    share work does it once.  ``smoothed`` marks the rules whose shift
+    (h, rho, spec) and returns the pair (shift, factor), both new arrays
+    shaped like h (the oracle overwrites them), from one evaluation: a
+    rule whose shift and factor share work does it once.  ``smoothed`` marks the rules whose shift
     is the infinite-resample average of the PMS shift, the one a finite
     resample average stands in for.
     """

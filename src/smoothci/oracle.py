@@ -8,7 +8,7 @@ standard errors.  Everything runs in standardized units: the true
 parameter of interest is 0 and sigma * sqrt(v_theta) is 1, which the
 coverage and length theory says costs no generality.  Each draw's
 interval comes from the rule's entry in ``kernel.RULES``, the same
-definition build_interval uses: one call per chunk of draws returns
+definition build_interval uses: one call per task of draws returns
 every draw's center shift and half-width factor together, so the
 delta-method rule takes its normal CDF and density values once per
 draw, not once for each.  The simulation is the independent
@@ -17,23 +17,32 @@ rule definitions and kernel evaluations with the analytic path, never
 the integrals.
 
 Reproducibility contract: a SimPlan pins the full output.  Draws are
-generated in fixed-size chunks, each from its own Philox substream
-spawned off the plan seed.  Within a chunk the pair comes first; with
-bootstrap_B > 0 the resamples follow in blocks of rows, and each block
-takes all of its first plane z0 (rows x B normals) before all of its
-second plane z1.  Each chunk reduces its own draws to partial sums, and
-run adds the chunks' partials in chunk index order.  The chunks run on
-a small thread pool, one worker per usable CPU up to _MAX_THREADS
-(numpy and scipy release the interpreter lock in their array loops),
-but since every float addition across chunks happens in that fixed
-order, nothing depends on thread count or scheduling: the summary is
-the one-thread summary bit for bit.  Finite-B chunks run one at a
-time, for the memory reason given at _MAX_BOOT_BLOCK.
+generated in fixed-size chunks, chunk i from its own Philox substream,
+SeedSequence(seed, spawn_key=(i,)), which is SeedSequence(seed).spawn's
+i-th child.  Within a chunk the pair comes first; with bootstrap_B > 0
+the resamples follow in blocks of rows, and each block takes all of its
+first plane z0 (rows x B normals) before all of its second plane z1.
+Each chunk reduces its own draws to partial sums, and run adds the
+chunks' partials in chunk index order.
+
+The work is split into tasks, each a run of up to _TASK_CHUNKS
+consecutive chunks: a task draws every chunk from that chunk's own
+substream into its row of one buffer, then takes the rule's terms and
+each partial sum in one numpy call over all its rows.  A row sum over
+that buffer is the chunk's own sum bit for bit, so the grouping of
+chunks into tasks changes no partial.  The tasks run on a small thread
+pool, one worker per usable CPU up to _MAX_THREADS (numpy and scipy
+release the interpreter lock in their array loops), but since every
+float addition across chunks happens in chunk order, nothing depends on
+thread count, task size or scheduling: the summary is the one-thread
+summary bit for bit.  Finite-B chunks run one at a time, one chunk per
+task, for the memory reason given at _MAX_BOOT_BLOCK.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -65,9 +74,14 @@ _MAX_BOOT_BLOCK = 1 << 21
 #: every temporary built from it hold at most max(_BOOT_SLICE, B) values.
 _BOOT_SLICE = 1 << 15
 
-#: Most worker threads one run uses.  It bounds the chunks in flight,
-#: and so their memory: one exact-SD chunk peaks at about 3 MiB.
+#: Most worker threads one run uses.  It bounds the tasks in flight,
+#: and so their memory: one exact-SD task of _TASK_CHUNKS chunks peaks
+#: at about 13 MiB under tracemalloc (3.2 MiB for one chunk).
 _MAX_THREADS = 4
+
+#: Most chunks one task draws and reduces together.  Not part of the
+#: output contract: a task's row sums equal its chunks' own sums.
+_TASK_CHUNKS = 4
 
 
 def _usable_cpus() -> list[int]:
@@ -111,6 +125,13 @@ class SimPlan:
     bootstrap_B: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("replications", "seed", "bootstrap_B"):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)) or not hasattr(type(value), "__index__"):
+                raise ValueError(f"SimPlan: {name} must be an integer, got {value!r}")
+            # Stored as a Python int: numpy's fixed-width integers would
+            # overflow in run's counts.
+            object.__setattr__(self, name, operator.index(value))
         if self.replications < 1:
             raise ValueError(f"SimPlan: replications must be >= 1, got {self.replications}")
         if not 0 <= self.seed < 2**64:
@@ -187,9 +208,39 @@ def simulate_pair(
     if n < 1:
         raise ValueError(f"simulate_pair: size must be >= 1, got {size}")
     z = rng.standard_normal((2, n))
-    gamma_hat = scenario.gamma + z[0]
-    theta_hat_std = scenario.rho * z[0] + math.sqrt(1.0 - scenario.rho**2) * z[1]
-    return theta_hat_std, gamma_hat
+    return _pair(scenario, z[0], z[1])
+
+
+def _pair(scenario: Scenario, z0: np.ndarray, z1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """simulate_pair's Cholesky relation on drawn normals z0 and z1,
+    any shape; theta_hat_std overwrites z0 and z1 is used as scratch."""
+    gamma_hat = z0 + scenario.gamma
+    z0 *= scenario.rho
+    z1 *= math.sqrt(1.0 - scenario.rho**2)
+    z0 += z1
+    return z0, gamma_hat
+
+
+def _stream(seed: int, idx: int) -> np.random.Generator:
+    """Chunk idx's generator: the idx-th child of SeedSequence(seed)."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(idx,))))
+
+
+def _tasks(n: int, workers: int, finite_B: bool) -> list[range]:
+    """The chunk indices of an n-replication run, cut into tasks.
+
+    Each task is a run of up to _TASK_CHUNKS full chunks, fewer where
+    that would leave a worker under about four tasks (so the last ones
+    to finish keep every worker busy), and one chunk at finite B.  A
+    partial last chunk is a task of its own, so a task's chunks all
+    have CHUNK draws.
+    """
+    full = n // CHUNK
+    size = 1 if finite_B else max(1, min(_TASK_CHUNKS, full // (4 * workers)))
+    tasks = [range(i, min(i + size, full)) for i in range(0, full, size)]
+    if n % CHUNK:
+        tasks.append(range(full, full + 1))
+    return tasks
 
 
 def _centers_finite_B(
@@ -234,7 +285,7 @@ def run(plan: SimPlan, rule: IntervalRule) -> SimSummary:
 
     Per replication: draw the standardized pair, form the interval
     from the rule's shift and factor exactly as build_interval does in
-    standardized units (one call of the rule's terms per chunk), and
+    standardized units (one call of the rule's terms per task), and
     record length and whether the interval contains 0, the
     standardized truth.  For the smoothed rules with
     bootstrap_B > 0 the finite-B resample average replaces the ideal
@@ -250,50 +301,61 @@ def run(plan: SimPlan, rule: IntervalRule) -> SimSummary:
 
     n = plan.replications
     n_chunks = -(-n // CHUNK)
-    streams = np.random.SeedSequence(plan.seed).spawn(n_chunks)
     finite_B = geometry.smoothed and plan.bootstrap_B > 0
 
-    def chunk(idx: int) -> tuple:
-        """One chunk's draws, reduced to its partial sums."""
-        m = min(CHUNK, n - idx * CHUNK)
-        rng = np.random.Generator(np.random.Philox(streams[idx]))
-        theta_std, gamma_hat = simulate_pair(plan.scenario, rng, size=m)
+    def task(chunks: range) -> list[tuple]:
+        """A run of chunks' draws, reduced to each chunk's partial sums."""
+        m = min(CHUNK, n - chunks.start * CHUNK)
+        z = np.empty((len(chunks), 2, m))
+        for row, idx in zip(z, chunks):
+            rng = _stream(plan.seed, idx)
+            rng.standard_normal(out=row)
+        theta_std, gamma_hat = _pair(plan.scenario, z[:, 0], z[:, 1])
 
         shift, factor = geometry.terms(gamma_hat, rho, plan.spec)
-        if finite_B:
+        if finite_B:  # one chunk per task; rng is its stream
             center = _centers_finite_B(
-                theta_std, gamma_hat, rho, plan.spec, plan.bootstrap_B, rng
-            )
+                theta_std[0], gamma_hat[0], rho, plan.spec, plan.bootstrap_B, rng
+            )[None]
         else:
-            center = theta_std - shift
-        half = z_a * factor
+            center = np.subtract(theta_std, shift, out=theta_std)
+        half = np.multiply(factor, z_a, out=factor)
 
         c2 = center * center
         length = 2.0 * half
         # The length's mean taken about its first value: a constant
         # length gives that value and zero deviations exactly.
-        mid = float(length[0] + (length - length[0]).sum() / m)
-        dev = length - mid
-        return (
-            float(center.sum()),
-            float(c2.sum()),
-            float((c2 * center).sum()),
-            float((c2 * c2).sum()),
-            int(np.count_nonzero(np.abs(center) <= half)),
-            float(length.sum()),
-            m,
-            mid,
-            float((dev * dev).sum()),
-        )
+        dev = length - length[:, :1]
+        mid = length[:, 0] + dev.sum(axis=1) / m
+        np.subtract(length, mid[:, None], out=dev)
+        hits = np.count_nonzero(np.abs(center) <= half, axis=1)
+        cube = np.multiply(c2, center, out=shift)
+        s3 = cube.sum(axis=1)
+        s4 = np.multiply(c2, c2, out=cube).sum(axis=1)
+        ss = np.multiply(dev, dev, out=dev).sum(axis=1)
+        return list(zip(
+            center.sum(axis=1).tolist(), c2.sum(axis=1).tolist(), s3.tolist(), s4.tolist(),
+            hits.tolist(), length.sum(axis=1).tolist(), [m] * len(chunks), mid.tolist(),
+            ss.tolist(),
+        ))
 
     cpus = _usable_cpus()
     workers = 1 if finite_B else min(len(cpus), n_chunks, _MAX_THREADS)
+    tasks = _tasks(n, workers, finite_B)
+    # glibc raises its mmap threshold to the largest mapped block freed
+    # so far, and its trim threshold to twice that.  Below a task's
+    # working set (13 MiB for exact SD) every task's temporaries go back
+    # to the system and fault in anew, which cost a fresh process more
+    # time than batching saves.  Freeing one untouched 8 MiB block
+    # first costs two system calls.
+    np.empty(1 << 20)
     if workers == 1:
-        parts = list(map(chunk, range(n_chunks)))
+        done = list(map(task, tasks))
     else:
         with ThreadPoolExecutor(workers, thread_name_prefix="smoothci-oracle",
                                 initializer=_pinning(cpus, workers)) as pool:
-            parts = list(pool.map(chunk, range(n_chunks)))
+            done = list(pool.map(task, tasks))
+    parts = [part for chunk_parts in done for part in chunk_parts]
 
     # Chunk index order, whichever thread computed each part.
     s1 = s2 = s3 = s4 = 0.0

@@ -59,6 +59,27 @@ class TestSimPlan:
         with pytest.raises(ValueError):
             SimPlan(replications=10, seed=1, scenario=(1.0, 0.5), spec=SPEC10, alpha=ALPHA)
 
+    @pytest.mark.parametrize("field, value", [
+        ("replications", 1e4), ("replications", True), ("replications", np.float64(10.0)),
+        ("seed", 3.0), ("seed", False), ("seed", np.True_), ("seed", "3"),
+        ("bootstrap_B", 2.5), ("bootstrap_B", True),
+    ])
+    def test_integer_fields_reject_other_types(self, field, value):
+        fields = dict(replications=10, seed=1, bootstrap_B=0)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"SimPlan: {field} must be an integer"):
+            SimPlan(scenario=Scenario(1.0, 0.5), spec=SPEC10, alpha=ALPHA, **fields)
+
+    def test_numpy_integers_are_accepted(self):
+        plan = SimPlan(replications=np.int32(CHUNK + 5), seed=np.uint64(2**64 - 1),
+                       scenario=Scenario(1.0, 0.5), spec=SPEC10, alpha=ALPHA,
+                       bootstrap_B=np.int64(0))
+        same = SimPlan(replications=CHUNK + 5, seed=2**64 - 1, scenario=Scenario(1.0, 0.5),
+                       spec=SPEC10, alpha=ALPHA)
+        assert plan == same
+        assert all(type(getattr(plan, f)) is int for f in ("replications", "seed", "bootstrap_B"))
+        assert run(plan, IntervalRule.SD_DELTA) == run(same, IntervalRule.SD_DELTA)
+
 
 class TestSimulatePair:
     def test_size_validation(self):
@@ -313,6 +334,13 @@ class TestRun:
             -0.1834190829945917, 0.9012769540108831, 0.9586666666666667,
             3.5716603115387358, 0.01645499060904356, 0.013165896653898576,
             0.003634321985776205, 0.007333585862914713),
+        # 41 chunks, the last one partial: long enough that run draws
+        # and reduces several chunks per task.  Pinned from the
+        # one-chunk-per-task code that came before.
+        ("sd_delta", 40 * CHUNK + 123, 67, 1.3, 0.7, 0): (
+            -0.1899441377412911, 0.9722602913648626, 0.9308151542237258,
+            3.8318561067849153, 0.0016981501465252618, 0.0012127252959093734,
+            0.00044323163431843717, 0.000897801412600162),
     }
 
     @pytest.mark.parametrize("case", list(FROZEN))
@@ -443,9 +471,12 @@ class TestThreads:
         run(self.plan(B=4), IntervalRule.SD_DELTA)
         assert started_threads == []
 
-    @pytest.mark.parametrize("bad_size", [CHUNK, 123])
+    @pytest.mark.parametrize("bad_size", [CHUNK, 123, oracle_mod._TASK_CHUNKS * CHUNK])
     def test_failing_chunk_raises_and_leaves_no_thread(self, monkeypatch, bad_size):
-        # Fails the first full chunk to be evaluated, or the partial last one.
+        # Fails the first full chunk to be evaluated, or the partial last
+        # one, or the first task of a run long enough for whole tasks of
+        # _TASK_CHUNKS chunks on four workers.
+        n = 16 * oracle_mod._TASK_CHUNKS * CHUNK + 123 if bad_size > CHUNK else self.N
         terms = kernel_mod.RULES[IntervalRule.PMS].terms
         lock = threading.Lock()
         failed = []
@@ -463,6 +494,49 @@ class TestThreads:
         with_cpus(monkeypatch, 8)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="chunk failed"):
-            run(self.plan(), IntervalRule.PMS)
+            run(SimPlan(replications=n, seed=71, scenario=Scenario(1.2, 0.8), spec=SPEC10,
+                        alpha=ALPHA), IntervalRule.PMS)
         assert failed == [bad_size]
         assert threading.active_count() == before
+
+
+class TestTasks:
+    """Runs of chunks drawn and reduced together; the summary must not notice."""
+
+    # 41 chunks, the last one partial.
+    N = 40 * CHUNK + 123
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    @pytest.mark.parametrize("rule", list(IntervalRule))
+    def test_batched_equals_one_chunk_per_task(self, monkeypatch, rule, cpus):
+        plan = SimPlan(replications=self.N, seed=73, scenario=Scenario(0.9, -0.6),
+                       spec=SPEC10, alpha=ALPHA)
+        with_cpus(monkeypatch, cpus)
+        workers = min(cpus, oracle_mod._MAX_THREADS)
+        assert max(map(len, oracle_mod._tasks(self.N, workers, False))) > 1
+        batched = run(plan, rule)
+        monkeypatch.setattr(oracle_mod, "_TASK_CHUNKS", 1)
+        assert run(plan, rule) == batched
+
+    @pytest.mark.parametrize("n, workers, finite_B, sizes", [
+        (1, 1, False, [1]),
+        (CHUNK, 2, False, [1]),
+        # 13 chunks on two workers: one per task, at least four per worker.
+        (12 * CHUNK + 5, 2, False, [1] * 13),
+        (12 * CHUNK + 5, 1, False, [3] * 4 + [1]),
+        (122 * CHUNK + 5, 2, False, [4] * 30 + [2, 1]),
+        (40 * CHUNK, 4, False, [2] * 20),
+        (40 * CHUNK + 123, 1, True, [1] * 41),
+    ])
+    def test_task_sizes(self, n, workers, finite_B, sizes):
+        tasks = oracle_mod._tasks(n, workers, finite_B)
+        assert [len(t) for t in tasks] == sizes
+        # consecutive, in order, covering every chunk once
+        assert [i for t in tasks for i in t] == list(range(-(-n // CHUNK)))
+
+    def test_chunk_streams_are_the_spawned_children(self):
+        children = np.random.SeedSequence(2024).spawn(123)
+        for idx in (0, 1, 7, 122):
+            want = np.random.Generator(np.random.Philox(children[idx])).standard_normal(6)
+            got = oracle_mod._stream(2024, idx).standard_normal(6)
+            assert got.tolist() == want.tolist()
