@@ -18,11 +18,12 @@ scipy's ndtri; _z_alpha and _z_level take from it the two critical
 values the intervals and lengths use, each in one place.
 
 The public functions check their input and then call a private core
-that holds the formula: phi calls _density and Phi_interval _interval.
-The coverage integrals call the cores directly on arguments they build
-finite and ordered, and check what could go wrong once per evaluated
-span of the lattice instead (see intervals), so each formula has one
-definition and the checks run once, not once per gamma.
+that holds the formula: phi calls _density, Phi _upper_tail and
+Phi_interval _interval.  The coverage integrals call the cores
+directly on arguments they build finite and ordered, and check what
+could go wrong only where an evaluated span of the lattice holds a bad
+node (see intervals), so each formula has one definition and a clean
+span costs no check per gamma.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def Phi(x: float | np.ndarray) -> float | np.ndarray:
     arr = np.asarray(x, dtype=float)
     if np.any(np.isnan(arr)):
         raise ValueError("Phi: NaN input")
-    out = 0.5 * erfc(-arr / _SQRT2)
+    out = _upper_tail(-arr)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 

@@ -34,21 +34,23 @@ evaluation needs that does not depend on gamma is prepared once per
 (rule, rho, spec, alpha) and cached (_prepared, the only cache the
 integrals keep): z_a, the nominal coverage, the lattice with its tiled
 weights, and the shifts, factors and interval ends on a kept span of
-panels, checked once per evaluated span.  A single gamma, such as a
-golden-section step of the minimizer, then reads its window as slices
-of the kept span and costs one window of arithmetic, and a coverage
-array evaluates only the gammas the rule's last array did not hold.
-The PMS coverage computes the few constants of its closed form per
-call.
+panels.  A single gamma, such as a golden-section step of the
+minimizer, then reads its window as slices of the kept span and costs
+one window of arithmetic, and a coverage array evaluates only the
+gammas the rule's last array did not hold.  The PMS coverage computes
+the few constants of its closed form per call.
 The integrals call the unchecked cores of gauss (Phi_interval's
-_interval and _orthant).  The panels are narrowed
-as |rho| nears 1 or the cutoff grows, where the integrand switches
-over a short range of h, so the default rule holds its accuracy up to
-RHO_MAX.  Nothing here takes quadrature knobs: every integral uses
-the lattice's one rule, gauss.DEFAULT_PANELS panels of DEFAULT_ORDER
-nodes at the least.  The tests check it against an independent
-quadrature in h that shares only the rules of kernel.RULES with this
-module (tests/helpers.py).
+_interval and _orthant).  Each evaluated span records whether all its
+ends are ordered and all its factors finite; only when they are not
+does an integral check the windows it reads, so a failure still names
+its gamma and a clean span costs no check per window.  The panels are
+narrowed as |rho| nears 1 or the cutoff grows, where the integrand
+switches over a short range of h, so the default rule holds its
+accuracy up to RHO_MAX.  Nothing here takes quadrature knobs: every
+integral uses the lattice's one rule, gauss.DEFAULT_PANELS panels of
+DEFAULT_ORDER nodes at the least.  The tests check it against an
+independent quadrature in h that shares only the rules of kernel.RULES
+with this module (tests/helpers.py).
 
 A Scenario's gamma may be a 1-d array: the coverage and length
 functions then return one value per gamma, as an array, and a float
@@ -286,11 +288,6 @@ def _panel_width(rho: float, spec: PretestSpec) -> tuple[float, int]:
     return 2.0 * gauss.HALF_WIDTH / count, count + 1
 
 
-def _running_count(bad: np.ndarray):
-    """Running count of the True entries, from 0; None when there are none."""
-    return np.concatenate(([0], np.cumsum(bad))) if np.any(bad) else None
-
-
 class _Curve:
     """What a smoothed rule's coverage and length integrals need apart
     from gamma, for one (rule, rho, spec, alpha).
@@ -302,9 +299,9 @@ class _Curve:
     bits depend on p alone, not on the span it was evaluated in: a
     window that overlaps the kept span or meets it only adds the panels
     it lacks, up to LATTICE_NODES nodes in all, and any other window
-    replaces the span.  The ends and the factor are checked once per
-    evaluated span; a window is checked by the running counts of the
-    nodes that fail.  ``local`` holds, as a row, a window's nodes
+    replaces the span.  ``clean`` says whether every kept node has
+    ordered ends and a finite factor; if not, the integrals check each
+    window they read.  ``local`` holds, as a row, a window's nodes
     relative to its first panel's lower edge.  The coverages of the
     last array of gammas are kept by the gammas' bits (see recall).
     """
@@ -326,7 +323,7 @@ class _Curve:
         # Panels lo to hi - 1 are kept.
         self.lo = self.hi = 0
         self.kept: dict[str, np.ndarray] = {}
-        self.bad: dict[str, np.ndarray | None] = {}
+        self.clean = True
         self.memo: tuple[np.ndarray, np.ndarray] | None = None
 
     def _h(self, lo: int, hi: int) -> np.ndarray:
@@ -365,33 +362,13 @@ class _Curve:
             lower, upper = shift - half, shift + half
             self.lo, self.hi = start, stop
             self.kept = {"shift": shift, "factor": factor, "lower": lower, "upper": upper}
-            self.bad = {"ends": _running_count(~(lower <= upper)),
-                        "factor": _running_count(~np.isfinite(factor))}
+            self.clean = bool(np.all(lower <= upper) and np.all(np.isfinite(factor)))
         return (lo - self.lo) * self.order
 
     def _terms(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         if lo == hi:
             return np.empty(0), np.empty(0)
         return self.geometry.terms(self._h(lo, hi), self.rho, self.spec)
-
-    def check(self, kind: str, gamma, at) -> None:
-        """Raise, naming the first gamma, if a window starting at node
-        offsets ``at`` of the kept span holds a node that fails check
-        ``kind``: an end that is NaN or out of order, or a factor that
-        is not finite."""
-        counts = self.bad[kind]
-        if counts is None:
-            return
-        ok = counts[at + self.size] == counts[at]
-        if np.all(ok):
-            return
-        if kind == "factor":
-            raise _failure(gamma, ok, "length integrand produced a non-finite value")
-        first = np.ravel(at)[np.argmin(ok)]
-        lower, upper = (self.kept[n][first : first + self.size] for n in ("lower", "upper"))
-        if np.isnan(lower).any() or np.isnan(upper).any():
-            raise _failure(gamma, ok, "NaN endpoint")
-        raise _failure(gamma, ok, "lower endpoint exceeds upper endpoint")
 
     def recall(self, gammas: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Positions of the gammas the last array did not hold; the
@@ -430,7 +407,7 @@ def _prepared(geometry: kernel.RuleGeometry, rho: float, spec: PretestSpec,
     return _Curve(geometry, rho, spec, alpha)
 
 
-def _windows(curve: _Curve, gammas, names: tuple[str, ...], check: str):
+def _windows(curve: _Curve, gammas, names: tuple[str, ...]):
     """The gammas in blocks, each with its windows of the curve's kept span.
 
     Yields (positions, gamma, zeta, mass, *rows): the block's positions
@@ -439,17 +416,15 @@ def _windows(curve: _Curve, gammas, names: tuple[str, ...], check: str):
     weight times phi(h - gamma)), and its window of each kept array
     ``names`` names.  h - gamma is the window's offset from gamma plus
     the nodes' offsets in the window, so it keeps its precision however
-    large gamma is.  A window holding a node that fails ``check``
-    raises first (see _Curve.check).  A float is one block whose window
-    is a slice of the kept span.  An array's gammas are taken
-    in the order of their windows; a run of them whose windows fit in
-    LATTICE_NODES shares one kept span, and a block holds at most
-    BLOCK_NODES nodes (at least one window).
+    large gamma is.  A float is one block whose window is a slice of
+    the kept span.  An array's gammas are taken in the order of their
+    windows; a run of them whose windows fit in LATTICE_NODES shares one
+    kept span, and a block holds at most BLOCK_NODES nodes (at least one
+    window).
     """
     if isinstance(gammas, float):
         first = curve.first_panel(gammas)
         at = curve.keep(first, first + curve.window)
-        curve.check(check, gammas, at)
         zeta = (first * curve.width - gammas) + curve.local
         yield (slice(None), gammas, zeta, curve.weights * gauss._density(zeta),
                *(curve.kept[n][None, at : at + curve.size] for n in names))
@@ -471,7 +446,6 @@ def _windows(curve: _Curve, gammas, names: tuple[str, ...], check: str):
             positions = by_window[at : min(at + rows, stop)]
             gamma = gammas[positions, None]
             offsets = first[positions] - lo
-            curve.check(check, gamma, base + offsets * curve.order)
             zeta = (first[positions, None] * curve.width - gamma) + curve.local
             yield (positions, gamma, zeta, curve.weights * gauss._density(zeta),
                    *(view[offsets] for view in views))
@@ -530,8 +504,14 @@ def _coverage(
 def _covered(curve: _Curve, gammas, out: np.ndarray) -> np.ndarray:
     """_coverage of a float or an array of gammas on a prepared curve,
     put in ``out``."""
-    for positions, gamma, zeta, mass, lower, upper in _windows(
-            curve, gammas, ("lower", "upper"), "ends"):
+    for positions, gamma, zeta, mass, lower, upper in _windows(curve, gammas, ("lower", "upper")):
+        if not curve.clean:
+            ok = np.all(lower <= upper, axis=1)
+            if not ok.all():
+                i = np.argmin(ok)
+                nan = np.isnan(lower[i]).any() or np.isnan(upper[i]).any()
+                raise _failure(gamma, ok, "NaN endpoint" if nan
+                               else "lower endpoint exceeds upper endpoint")
         terms = gauss._interval(lower, upper, curve.rho * zeta, curve.sd)
         cp = curve.nominal + _row_sums(mass, terms - curve.nominal)
         ok = (0.0 <= cp) & (cp <= 1.0)
@@ -693,7 +673,11 @@ def _scaled_length(
     curve = _prepared(kernel.RULES[which], scenario.rho, spec, alpha)
     gammas = float(scenario.gamma) if np.ndim(scenario.gamma) == 0 else scenario.gamma
     out = np.empty(np.size(gammas))
-    for positions, _, _, mass, factor in _windows(curve, gammas, ("factor",), "factor"):
+    for positions, gamma, _, mass, factor in _windows(curve, gammas, ("factor",)):
+        if not curve.clean:
+            ok = np.all(np.isfinite(factor), axis=1)
+            if not ok.all():
+                raise _failure(gamma, ok, "length integrand produced a non-finite value")
         out[positions] = ratio * (1.0 + _row_sums(mass, factor - 1.0))
     return _like(scenario, out)
 
@@ -741,15 +725,20 @@ def curve(
     length quantities the normalizing c_min is computed once, from the
     matching rule's minimum coverage, and reused across the whole
     grid.  The grid is one array call, whose failures name the first
-    gamma they hit.
+    gamma they hit.  A grid with more points than can be built is a
+    ValueError.
     """
     quantity = Quantity(quantity)
     alpha = _check_alpha(alpha)
     rho = Scenario(0.0, float(rho)).rho
     if not 0.0 < step <= gamma_max < math.inf:
         raise ValueError("curve: need 0 < step <= gamma_max < inf")
-    n = int(math.floor(gamma_max / step + 1e-9))
-    grid = np.arange(n + 1) * step
+    try:
+        # gamma_max / step overflows to inf, or numpy cannot index or allocate the grid.
+        grid = np.arange(math.floor(gamma_max / step + 1e-9) + 1) * step
+    except (OverflowError, MemoryError, ValueError):
+        raise ValueError(f"curve: the grid up to gamma_max {gamma_max} by step {step} "
+                         "has too many points to build") from None
 
     rule = _RULE_BY_QUANTITY[quantity]
     if quantity in _COVERAGE_QUANTITIES:

@@ -368,6 +368,16 @@ DOMAIN_ERRORS = [
      "--step must be positive, got 0.0"),
     (["figure1", "--step", "0.05", "--gamma-max", "0.01"],
      "--gamma-max must be at least --step, got 0.01"),
+    # Grids refused before any allocation: 1e18 points exceed the
+    # address space, and 1e310 overflows to inf.
+    (["curve", "--quantity", "cp", "--rho", "0.5", "--gamma-max", "1e9", "--step", "1e-9"],
+     "curve: the grid up to gamma_max 1000000000.0 by step 1e-09 has too many points to build"),
+    (["figure1", "--step", "1e-9", "--gamma-max", "1e9"],
+     "curve: the grid up to gamma_max 1000000000.0 by step 1e-09 has too many points to build"),
+    (["curve", "--quantity", "cp", "--rho", "0.5", "--gamma-max", "1e300", "--step", "1e-10"],
+     "curve: the grid up to gamma_max 1e+300 by step 1e-10 has too many points to build"),
+    (["figure1", "--step", "1e-10", "--gamma-max", "1e300"],
+     "curve: the grid up to gamma_max 1e+300 by step 1e-10 has too many points to build"),
     (["cmin", "--rho", "1.5"], "--rho: Scenario: rho must satisfy |rho| <= 0.999, got 1.5"),
     (["cmin", "--rho", "0.7", "--rules", ",,"], "--rules: no rule named"),
     (["cmin", "--rho", "0.7", "--rules", ""], "--rules: no rule named"),

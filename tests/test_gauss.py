@@ -257,9 +257,16 @@ class TestQuadratureRule:
         assert np.array_equal(breakpoint_rule((x, x + 5e-12, x + 1e-11)).nodes,
                               breakpoint_rule((x, x + 1e-11)).nodes)
         # A breakpoint within tol of an edge goes, at either end too.
-        edge = np.linspace(-8.0, 8.0, 41)[7]
+        edges = np.linspace(-8.0, 8.0, 41)
+        edge = edges[7]
         for bp in (edge, edge + 1e-12, edge - 1e-12, 8.0 - 1e-13, -8.0 + 1e-13):
             assert breakpoint_rule((bp,)).nodes.size == 400
+        # Two at once, as the PMS rule's jumps -d - gamma and d - gamma
+        # at d = 2, gamma = 0.4 sit on edges 14 and 24: within tol both
+        # merge into the edges, 2e-11 away both split a panel.
+        for off, size in ((0.0, 400), (5e-13, 400), (-5e-13, 400), (1e-12, 400),
+                          (-1e-12, 400), (2e-11, 420), (-2e-11, 420)):
+            assert breakpoint_rule((edges[14] + off, edges[24] + off)).nodes.size == size, off
 
     def test_one_panel_rule_is_the_default_rule_translated(self):
         # The integrals' lattice lays the one-panel rule end to end; at

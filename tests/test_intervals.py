@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -585,6 +586,13 @@ class TestCurve:
                                 (math.inf, 0.5), (math.inf, math.inf)):
             with pytest.raises(ValueError, match="curve: need"):
                 curve(Quantity.CP_PMS, 0.5, SPEC10, ALPHA, gamma_max=gamma_max, step=step)
+        # None of these allocates: 1e18 points is more than the address
+        # space holds, 1e305 more than an int64 counts, and 1e310
+        # overflows to inf before any array is built.
+        for gamma_max, step in ((1e9, 1e-9), (1e300, 1e-5), (1e300, 1e-10)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"curve: the grid up to gamma_max {gamma_max} by step {step} has too many")):
+                curve(Quantity.CP_PMS, 0.5, SPEC10, ALPHA, gamma_max=gamma_max, step=step)
 
     @pytest.mark.parametrize("quantity, message", [
         (Quantity.CP_DELTA, "NaN endpoint"),
@@ -669,6 +677,33 @@ class TestPreparedCurve:
         with pytest.raises(RuntimeError, match="gamma = 0.625: length integrand produced "
                                                "a non-finite value"):
             sel_sd_delta(Scenario(0.625, 0.7), SPEC10, ALPHA, 0.9)
+
+    @pytest.mark.parametrize("value, message", [
+        (math.nan, "NaN endpoint"),
+        (-0.5, "lower endpoint exceeds upper endpoint"),
+    ])
+    def test_array_with_a_bad_factor_names_its_first_gamma_in_window_order(
+            self, monkeypatch, value, message):
+        # 0.625 and 1.0 reach the bad panels; 0.625's window comes first.
+        self.bad_factor(monkeypatch, value)
+        grid = np.array([1.0, 0.625, 0.3])
+        with pytest.raises(RuntimeError, match=f"gamma = 0.625: {message}"):
+            coverage_sd_delta(Scenario(grid, 0.7), SPEC10, ALPHA)
+        if math.isnan(value):
+            with pytest.raises(RuntimeError, match="gamma = 0.625: length integrand produced "
+                                                   "a non-finite value"):
+                sel_sd_delta(Scenario(grid, 0.7), SPEC10, ALPHA, 0.9)
+
+    def test_array_whose_windows_miss_the_bad_nodes_of_the_kept_span_integrates(
+            self, monkeypatch):
+        self.bad_factor(monkeypatch, math.nan)
+        intervals_mod._prepared.cache_clear()
+        with pytest.raises(RuntimeError, match="gamma = 0.625: NaN endpoint"):
+            coverage_sd_delta(Scenario(0.625, 0.7), SPEC10, ALPHA)
+        got = coverage_sd_delta(Scenario(np.array([0.0, 0.3]), 0.7), SPEC10, ALPHA)
+        intervals_mod._prepared.cache_clear()
+        fresh = [coverage_sd_delta(Scenario(g, 0.7), SPEC10, ALPHA) for g in (0.0, 0.3)]
+        assert [float(v) for v in got] == fresh
 
     def test_array_evaluates_only_the_gammas_the_last_array_lacked(self, monkeypatch):
         intervals_mod._prepared.cache_clear()

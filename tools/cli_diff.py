@@ -45,9 +45,10 @@ CURVE = ["curve", "--quantity", "cp", "--rho", "0"]
 
 #: Each help text, a small valid call of every subcommand, calls whose
 #: normal quantiles lie in the body and the far tails, calls that reach
-#: the narrow lattice of |rho| near 1, the closed-form PMS coverage and
-#: the merge of a prepared curve's kept span, and each argument and
-#: validation error.
+#: the narrow lattice of |rho| near 1, the closed-form PMS coverage, the
+#: merge of a prepared curve's kept span and the coverages a later array
+#: reuses, and each argument and validation error, grids too large to
+#: build included.
 CORPUS = [
     ["-h"],
     *([name, "-h"] for name in ("curve", "figure1", "cmin", "fit", "verify")),
@@ -66,6 +67,9 @@ CORPUS = [
     # The sel grid reaches past the minimizer's, so the SD curve's kept
     # span grows by a merge.
     ["curve", "--quantity", "sel", "--rho", "0.99", "--gamma-max", "14", "--step", "0.5"],
+    # At the default grid the minimizer's grid reuses 201 of its 241
+    # coverages from the sd_delta curve, and its span grows by a merge.
+    ["figure1", "--rho", "0.7"],
     [*FIT, "--sigma", "1"],
     [*FIT, "--sigma", "0.5", "--pretest-size", "0.2"],
     ["verify", "--reps", "2000", "--seed", "9", "--tolerance", "50"],
@@ -86,6 +90,8 @@ CORPUS = [
     [*CURVE, "--step", "0"],
     [*CURVE, "--step", "nan"],
     [*CURVE, "--gamma-max", "inf"],
+    ["curve", "--quantity", "cp", "--rho", "0.5", "--gamma-max", "1e9", "--step", "1e-9"],
+    ["curve", "--quantity", "cp", "--rho", "0.5", "--gamma-max", "1e300", "--step", "1e-10"],
     ["figure1", "--step", "0.05", "--gamma-max", "0.01"],
     ["cmin", "--rho", "1.5"],
     [*CMIN, "--rules", ",,"],
