@@ -57,13 +57,20 @@ def phi(x: float | np.ndarray) -> float | np.ndarray:
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("phi: input must be finite")
-    out = _density(arr)
+    with np.errstate(over="ignore"):
+        out = _density(arr)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
 def _density(x: np.ndarray) -> np.ndarray:
     """phi's formula without its input check, for the integrals' nodes,
-    which are finite by construction."""
+    which are finite by construction.
+
+    Past |x| of about 1.3e154 the square overflows to inf and the value
+    is its limit 0.  The callers that can pass such x, phi and the
+    kernel, ignore that overflow; the integrals' x stay below it (see
+    intervals._windows), so the formula costs no error-state switch.
+    """
     return _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
 
@@ -254,8 +261,6 @@ def _orthant(h: np.ndarray, k: np.ndarray, rho: float) -> np.ndarray:
     corners with h == k, where it replaces the split.
     """
     on_diagonal = h == k
-    if on_diagonal.all():
-        return _bvn_diagonal(h, rho)
     s = math.sqrt((1.0 - rho) * (1.0 + rho))
     # Signed distance of the corner from the ray, seen from each
     # axis: the wedge on an axis is Q/2 -+ T by its sign.

@@ -37,8 +37,13 @@ weights, and the shifts, factors and interval ends on a kept span of
 panels.  A single gamma, such as a golden-section step of the
 minimizer, then reads its window as slices of the kept span and costs
 one window of arithmetic, and a coverage array evaluates only the
-gammas the rule's last array did not hold.  The PMS coverage computes
-the few constants of its closed form per call.
+gammas the rule's last array did not hold.  The prepared curves are
+shared, by threads too: a call takes the kept span whole, as one value,
+and reads only the span it was handed, so calls on one curve from
+several threads give the values one thread would.  A call that grows
+or replaces the span puts a new one in place, and the memo of the last
+array's coverages is last-writer-wins, its values exact.  The PMS
+coverage computes the few constants of its closed form per call.
 The integrals call the unchecked cores of gauss (Phi_interval's
 _interval and _orthant).  Each evaluated span records whether all its
 ends are ordered and all its factors finite; only when they are not
@@ -299,11 +304,16 @@ class _Curve:
     bits depend on p alone, not on the span it was evaluated in: a
     window that overlaps the kept span or meets it only adds the panels
     it lacks, up to LATTICE_NODES nodes in all, and any other window
-    replaces the span.  ``clean`` says whether every kept node has
-    ordered ends and a finite factor; if not, the integrals check each
-    window they read.  ``local`` holds, as a row, a window's nodes
-    relative to its first panel's lower edge.  The coverages of the
-    last array of gammas are kept by the gammas' bits (see recall).
+    replaces the span.  ``span`` is one tuple (first panel, end panel,
+    arrays, clean): panels first to end - 1 are kept, with the arrays
+    by name, and clean says whether every kept node has ordered ends and
+    a finite factor; if not, the integrals check each window they read.
+    keep replaces the tuple whole and returns what the caller reads, so
+    no reader looks at the curve's span again, and a call that another
+    thread's keep overtakes still reads one whole span.  ``local``
+    holds, as a row, a window's nodes relative to its first panel's
+    lower edge.  The coverages of the last array of gammas are kept by
+    the gammas' bits (see recall).
     """
 
     def __init__(self, geometry: kernel.RuleGeometry, rho: float, spec: PretestSpec,
@@ -320,10 +330,7 @@ class _Curve:
         # h at rho = 0; only the departure from it is integrated.
         self.nominal = Phi_interval(-self.z_a, self.z_a, 0.0, 1.0)
         self.sd = math.sqrt(1.0 - rho * rho)
-        # Panels lo to hi - 1 are kept.
-        self.lo = self.hi = 0
-        self.kept: dict[str, np.ndarray] = {}
-        self.clean = True
+        self.span: tuple[int, int, dict[str, np.ndarray], bool] = (0, 0, {}, True)
         self.memo: tuple[np.ndarray, np.ndarray] | None = None
 
     def _h(self, lo: int, hi: int) -> np.ndarray:
@@ -335,7 +342,8 @@ class _Curve:
         Clipped to +-2^62 as first_panels clips, so that the two agree
         on every finite gamma; a gamma past the clip by more than a
         window lies so far from its window that the integrals take
-        their large-gamma limits.
+        their large-gamma limits.  _windows holds gamma within 2^63
+        panel widths, so the quotient here stays finite.
         """
         return min(max(math.floor((gamma - gauss.HALF_WIDTH) / self.width), -2**62), 2**62)
 
@@ -344,26 +352,27 @@ class _Curve:
         first = np.floor((gammas - gauss.HALF_WIDTH) / self.width)
         return np.clip(first, -2.0**62, 2.0**62).astype(np.int64)
 
-    def keep(self, lo: int, hi: int) -> int:
-        """Make panels lo to hi - 1 part of the kept span; the offset of
-        panel lo's first node in it."""
-        if not (self.lo <= lo and hi <= self.hi):
-            start, stop = min(lo, self.lo), max(hi, self.hi)
+    def keep(self, lo: int, hi: int) -> tuple[dict[str, np.ndarray], bool, int]:
+        """Make panels lo to hi - 1 part of the kept span; that span's
+        arrays, its clean flag and the offset of panel lo's first node
+        in its arrays."""
+        first, end, kept, clean = self.span
+        if not (first <= lo and hi <= end):
+            start, stop = min(lo, first), max(hi, end)
             limit = max(LATTICE_NODES, self.size)
-            apart = lo > self.hi or hi < self.lo
-            if not self.kept or apart or (stop - start) * self.order > limit:
+            if not kept or lo > end or hi < first or (stop - start) * self.order > limit:
                 start, stop, parts = lo, hi, [self._terms(lo, hi)]
             else:
-                parts = [self._terms(start, self.lo),
-                         (self.kept["shift"], self.kept["factor"]),
-                         self._terms(self.hi, stop)]
+                parts = [self._terms(start, first), (kept["shift"], kept["factor"]),
+                         self._terms(end, stop)]
             shift, factor = (np.concatenate(v) for v in zip(*parts))
             half = self.z_a * factor
             lower, upper = shift - half, shift + half
-            self.lo, self.hi = start, stop
-            self.kept = {"shift": shift, "factor": factor, "lower": lower, "upper": upper}
-            self.clean = bool(np.all(lower <= upper) and np.all(np.isfinite(factor)))
-        return (lo - self.lo) * self.order
+            kept = {"shift": shift, "factor": factor, "lower": lower, "upper": upper}
+            clean = bool(np.all(lower <= upper) and np.all(np.isfinite(factor)))
+            first, self.span = start, (start, stop, kept, clean)
+        # From the locals: self.span may already be another thread's.
+        return kept, clean, (lo - first) * self.order
 
     def _terms(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         if lo == hi:
@@ -410,26 +419,35 @@ def _prepared(geometry: kernel.RuleGeometry, rho: float, spec: PretestSpec,
 def _windows(curve: _Curve, gammas, names: tuple[str, ...]):
     """The gammas in blocks, each with its windows of the curve's kept span.
 
-    Yields (positions, gamma, zeta, mass, *rows): the block's positions
-    among the gammas, those gammas as a column, per gamma a row of its
-    window's nodes as h - gamma and of their density mass (quadrature
-    weight times phi(h - gamma)), and its window of each kept array
-    ``names`` names.  h - gamma is the window's offset from gamma plus
-    the nodes' offsets in the window, so it keeps its precision however
-    large gamma is.  A float is one block whose window is a slice of
-    the kept span.  An array's gammas are taken in the order of their
-    windows; a run of them whose windows fit in LATTICE_NODES shares one
-    kept span, and a block holds at most BLOCK_NODES nodes (at least one
-    window).
+    Yields (positions, gamma, zeta, mass, clean, *rows): the block's
+    positions among the gammas, those gammas as a column, per gamma a
+    row of its window's nodes as h - gamma and of their density mass
+    (quadrature weight times phi(h - gamma)), the clean flag of the span
+    the windows come from, and its window of each kept array ``names``
+    names.  h - gamma is the window's offset from gamma plus the nodes'
+    offsets in the window, so it keeps its precision however large
+    gamma is.  A float is one block whose window is a slice of the
+    arrays keep returned.  An array's gammas are taken in the order of
+    their windows; a run of them whose windows fit in LATTICE_NODES
+    shares one kept span, whose arrays keep returned and every block of
+    the run reads, and a block holds at most BLOCK_NODES nodes (at least
+    one window).  Nothing here reads the curve's span after keep
+    returns, so another thread's keep cannot tear a block.
     """
+    # Beyond 2^62 panels the windows stop (see first_panel); a gamma held
+    # to twice that is 2^62 panels from its window, where every density is
+    # 0 as it is for any farther gamma, and no h - gamma overflows.
+    far = 2.0**63 * curve.width
     if isinstance(gammas, float):
-        first = curve.first_panel(gammas)
-        at = curve.keep(first, first + curve.window)
-        zeta = (first * curve.width - gammas) + curve.local
-        yield (slice(None), gammas, zeta, curve.weights * gauss._density(zeta),
-               *(curve.kept[n][None, at : at + curve.size] for n in names))
+        near = min(max(gammas, -far), far)
+        first = curve.first_panel(near)
+        kept, clean, at = curve.keep(first, first + curve.window)
+        zeta = (first * curve.width - near) + curve.local
+        yield (slice(None), gammas, zeta, curve.weights * gauss._density(zeta), clean,
+               *(kept[n][None, at : at + curve.size] for n in names))
         return
-    first = curve.first_panels(gammas)
+    near = np.clip(gammas, -far, far)
+    first = curve.first_panels(near)
     by_window = np.argsort(first, kind="stable")
     first_sorted = first[by_window]
     rows = max(1, BLOCK_NODES // curve.size)
@@ -438,16 +456,15 @@ def _windows(curve: _Curve, gammas, names: tuple[str, ...]):
     while start < gammas.size:
         lo = int(first_sorted[start])
         stop = int(np.searchsorted(first_sorted, lo + reach, side="right"))
-        base = curve.keep(lo, int(first_sorted[stop - 1]) + curve.window)
+        kept, clean, base = curve.keep(lo, int(first_sorted[stop - 1]) + curve.window)
         # Windows start on panel edges: every order-th sliding window.
-        views = [sliding_window_view(curve.kept[n], curve.size)[base::curve.order]
-                 for n in names]
+        views = [sliding_window_view(kept[n], curve.size)[base::curve.order] for n in names]
         for at in range(start, stop, rows):
             positions = by_window[at : min(at + rows, stop)]
             gamma = gammas[positions, None]
             offsets = first[positions] - lo
-            zeta = (first[positions, None] * curve.width - gamma) + curve.local
-            yield (positions, gamma, zeta, curve.weights * gauss._density(zeta),
+            zeta = (first[positions, None] * curve.width - near[positions, None]) + curve.local
+            yield (positions, gamma, zeta, curve.weights * gauss._density(zeta), clean,
                    *(view[offsets] for view in views))
         start = stop
 
@@ -504,8 +521,9 @@ def _coverage(
 def _covered(curve: _Curve, gammas, out: np.ndarray) -> np.ndarray:
     """_coverage of a float or an array of gammas on a prepared curve,
     put in ``out``."""
-    for positions, gamma, zeta, mass, lower, upper in _windows(curve, gammas, ("lower", "upper")):
-        if not curve.clean:
+    for positions, gamma, zeta, mass, clean, lower, upper in _windows(
+            curve, gammas, ("lower", "upper")):
+        if not clean:
             ok = np.all(lower <= upper, axis=1)
             if not ok.all():
                 i = np.argmin(ok)
@@ -562,12 +580,17 @@ def coverage_pms(scenario: Scenario, spec: PretestSpec, alpha: float) -> float |
     rho, d = abs(scenario.rho), spec.d
     sd = math.sqrt(1.0 - rho * rho)
     gamma = np.atleast_1d(np.asarray(scenario.gamma, dtype=float))
-    accept, narrow = gauss._interval(np.array([[-d], [-z_a]]), np.array([[d], [z_a]]),
-                                     np.array([gamma, rho * gamma / sd]), 1.0)
     beyond = np.array([d - gamma, d + gamma])
     # Both strip families, k = z_a and k = -z_a, in one call.
     h = np.array([beyond, beyond])
-    orthants = gauss._orthant(h, np.zeros_like(h) + np.array([z_a, -z_a])[:, None, None], rho)
+    k = np.zeros_like(h) + np.array([z_a, -z_a])[:, None, None]
+    # Past |gamma| of about 8e306 at RHO_MAX the narrow interval's mean
+    # and the corners' distances from their rays overflow to infinities,
+    # whose limits are right.
+    with np.errstate(over="ignore"):
+        accept, narrow = gauss._interval(np.array([[-d], [-z_a]]), np.array([[d], [z_a]]),
+                                         np.array([gamma, rho * gamma / sd]), 1.0)
+        orthants = gauss._orthant(h, k, rho)
     strips = orthants[0] - orthants[1]
     return _like(scenario, np.clip(accept * narrow + (strips[0] + strips[1]), 0.0, 1.0))
 
@@ -673,8 +696,8 @@ def _scaled_length(
     curve = _prepared(kernel.RULES[which], scenario.rho, spec, alpha)
     gammas = float(scenario.gamma) if np.ndim(scenario.gamma) == 0 else scenario.gamma
     out = np.empty(np.size(gammas))
-    for positions, gamma, _, mass, factor in _windows(curve, gammas, ("factor",)):
-        if not curve.clean:
+    for positions, gamma, _, mass, clean, factor in _windows(curve, gammas, ("factor",)):
+        if not clean:
             ok = np.all(np.isfinite(factor), axis=1)
             if not ok.all():
                 raise _failure(gamma, ok, "length integrand produced a non-finite value")

@@ -166,7 +166,10 @@ def _k_q(g: np.ndarray, spec: PretestSpec):
     """k and q at finite g, from one evaluation of the four normal
     values they share: Phi(d - g), Phi(-d - g), phi(d + g), phi(d - g)."""
     d = spec.d
-    pdf_plus, pdf_minus = _density(d + g), _density(d - g)
+    # Past |g| of about 1.3e154 the densities' squares overflow to inf,
+    # and their limit 0 is the density.
+    with np.errstate(over="ignore"):
+        pdf_plus, pdf_minus = _density(d + g), _density(d - g)
     mass = _upper_tail(g - d) - _upper_tail(d + g)
     return pdf_plus - pdf_minus + g * mass, mass - d * (pdf_plus + pdf_minus)
 
@@ -235,15 +238,17 @@ def _moments(g: np.ndarray, spec: PretestSpec) -> tuple[np.ndarray, np.ndarray, 
     b = (d - g) / _SQRT2
     # Standardized ends of [a, b] under X2 | X1 = x, at x = a and x = b.
     a_lo, b_hi = a / _SQRT3, b / _SQRT3
-    a_hi = (2.0 * b - a) / _SQRT3
-    b_lo = (2.0 * a - b) / _SQRT3
-    args = np.array([a, b, a_lo, b_hi, a_hi, b_lo])
-    cdf_a, cdf_b, cdf_a_lo, cdf_b_hi, cdf_a_hi, cdf_b_lo = _upper_tail(-args)
-    pdf_a, pdf_b, pdf_a_lo, pdf_b_hi, pdf_a_hi, pdf_b_lo = _density(args)
-    with np.errstate(divide="ignore"):
-        # a_hi / a is +inf at a = 0 and b_lo / b is -inf at b = 0;
-        # T(0, +-inf) = +-1/4 is the right limit there.
+    # Past |g| of about 1e154 the ends and the densities' squares overflow
+    # to infinities, whose limits are right.  a_hi / a is +inf at a = 0
+    # and b_lo / b is -inf at b = 0; T(0, +-inf) = +-1/4 is the right
+    # limit there.
+    with np.errstate(over="ignore", divide="ignore"):
+        a_hi = (2.0 * b - a) / _SQRT3
+        b_lo = (2.0 * a - b) / _SQRT3
+        args = np.array([a, b, a_lo, b_hi, a_hi, b_lo])
+        pdf_a, pdf_b, pdf_a_lo, pdf_b_hi, pdf_a_hi, pdf_b_lo = _density(args)
         slopes = np.array([a_hi / a, b_lo / b])
+    cdf_a, cdf_b, cdf_a_lo, cdf_b_hi, cdf_a_hi, cdf_b_lo = _upper_tail(-args)
     ends = np.array([a, b])
     off_a, off_b = _bvn_diagonal(ends, 0.5)
     t_ab, t_ba = owens_t(ends, slopes)

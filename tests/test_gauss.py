@@ -83,6 +83,12 @@ class TestPhiDensity:
         x = np.array([-1.0, 0.0, 2.0])
         assert_allclose(phi(x), [phi(-1.0), phi(0.0), phi(2.0)], rtol=0)
 
+    def test_far_tail_is_zero_without_a_warning(self):
+        # Past about 1.3e154 the square overflows; the density is its limit.
+        x = np.array([1e154, -1e200, np.finfo(float).max])
+        assert np.array_equal(phi(x), np.zeros(3))
+        assert phi(-1e300) == 0.0
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             phi(math.inf)

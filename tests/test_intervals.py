@@ -1,8 +1,11 @@
 """Tests for interval construction, coverage curves and the minimizer."""
 
 import dataclasses
+import functools
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ import pytest
 import smoothci.intervals as intervals_mod
 from helpers import breakpoint_rule, h_quadrature
 from smoothci import gauss, kernel
-from smoothci.gauss import z_quantile
+from smoothci.gauss import _z_alpha, _z_level, z_quantile
 from smoothci.intervals import (
     CurveTable,
     IntervalReport,
@@ -66,6 +69,39 @@ class TestScenario:
     def test_gamma_array_must_be_finite_and_1d(self, bad):
         with pytest.raises(ValueError):
             Scenario(gamma=np.array(bad), rho=0.0)
+
+
+class TestHugeGammas:
+    """Every finite gamma is accepted, and far out every functional is
+    its large-gamma limit: k = q = 0, r = r_delta = 1, the coverages
+    1 - alpha and the lengths z_{1 - alpha/2} / z_{(1 + c_min)/2}."""
+
+    @pytest.mark.parametrize("rho", [0.7, 0.999, -0.999])
+    @pytest.mark.parametrize("gamma", [1e154, 1e300, 8e307, sys.float_info.max])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_scalar_and_array_take_the_limits(self, sign, gamma, rho):
+        gamma *= sign
+        ratio = _z_alpha(ALPHA) / _z_level(0.9)
+        limits = [
+            (lambda g: kernel.k(g, SPEC10), 0.0),
+            (lambda g: kernel.q(g, SPEC10), 0.0),
+            (lambda g: kernel.r(g, rho, SPEC10), 1.0),
+            (lambda g: r_delta(g, rho, SPEC10), 1.0),
+            *((lambda g, f=f: f(Scenario(g, rho), SPEC10, ALPHA), 1.0 - ALPHA)
+              for f in (coverage_sd, coverage_sd_delta, coverage_pms)),
+            *((lambda g, f=f: f(Scenario(g, rho), SPEC10, ALPHA, 0.9), ratio)
+              for f in (sel_sd, sel_sd_delta)),
+        ]
+        for f, limit in limits:
+            scalar, array = f(gamma), f(np.array([gamma]))
+            assert isinstance(scalar, float) and array.shape == (1,)
+            assert scalar == array[0] == limit, (f, scalar, array)
+        fit = FittedModel(theta_hat=1.0, gamma_hat=gamma, sigma=2.0, v_theta=0.25, v_tau=1.0,
+                          rho=rho)
+        full = build_interval(fit, SPEC10, ALPHA, IntervalRule.FULL_MODEL)
+        for rule in (IntervalRule.SD, IntervalRule.SD_DELTA, IntervalRule.PMS):
+            got = build_interval(fit, SPEC10, ALPHA, rule)
+            assert (got.lower, got.upper) == (full.lower, full.upper), rule
 
 
 class TestIntervalReport:
@@ -738,6 +774,45 @@ class TestPreparedCurve:
         assert np.array_equal(coverage_pms(Scenario(grid, 0.7), SPEC10, ALPHA), want)
         assert coverage_pms(Scenario(1.0, 0.7), SPEC10, ALPHA) == want[1]
         assert calls == [(2, 2, 3), (2, 2, 1)]
+
+    def test_threads_sharing_a_prepared_curve_get_single_thread_bits(self):
+        # At rho 0.999 a window holds 2,780 nodes, so windows near gamma
+        # 0.3 and 5000 lie apart and every call replaces the kept span of
+        # the one prepared curve all four threads share.  A switch
+        # interval of 1 us lets a thread be cut off anywhere in a call.
+        intervals_mod._prepared.cache_clear()
+        calls = []
+        for near, far in [(np.array([0.25, 0.3, 0.35]), np.array([4999.9, 5000.0, 5000.1])),
+                          (0.3, 5000.0)]:
+            for gamma in (near, far):
+                scenario = Scenario(gamma, 0.999)
+                calls.append(functools.partial(coverage_sd_delta, scenario, SPEC10, ALPHA))
+                calls.append(functools.partial(sel_sd_delta, scenario, SPEC10, ALPHA, 0.9))
+        want = [call() for call in calls]
+        wrong, failures = [], []
+
+        def work(shift):
+            for _ in range(40):
+                for i in range(len(calls)):
+                    at = (i + shift) % len(calls)
+                    try:
+                        if not np.array_equal(calls[at](), want[at]):
+                            wrong.append(at)
+                    except Exception as exc:
+                        failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(2 * t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures, failures[:3]
+        assert not wrong, len(wrong)
 
     def test_a_window_next_to_the_kept_span_adds_only_its_panels(self, monkeypatch):
         intervals_mod._prepared.cache_clear()
