@@ -4,11 +4,10 @@ Everything downstream reduces to a handful of operations: the standard
 normal density, its CDF, its quantile, interval probabilities of a
 normal variate, orthant probabilities of a correlated normal pair, and
 integrals of smooth functions against a shifted standard normal
-density.  The quadrature engine is a composite Gauss-Legendre rule with
-equal panels, built afresh on each call; the coverage and length
-integrals lay its one-panel rule end to end on a lattice in the
-restriction statistic, and build it once per prepared curve (see
-intervals).
+density.  The quadrature engine is one Gauss-Legendre pair of order
+DEFAULT_ORDER on [-1, 1], _LEGENDRE, built once at import; the coverage
+and length integrals scale it to the panels of a lattice in the
+restriction statistic, laid end to end (see intervals._Curve).
 With the default half width of 8 the neglected tail mass of a window
 is at most 2*Phi(-8), about 1.2e-15, far below every tolerance used in
 this package.  _orthant gives the bivariate orthant probabilities
@@ -45,6 +44,12 @@ HALF_WIDTH = 8.0
 DEFAULT_PANELS = 40
 #: Gauss-Legendre nodes per panel.
 DEFAULT_ORDER = 10
+
+# The order-DEFAULT_ORDER Gauss-Legendre nodes and weights on [-1, 1],
+# built once; every panel rule scales this pair.
+_LEGENDRE = leggauss(DEFAULT_ORDER)
+_LEGENDRE[0].setflags(write=False)
+_LEGENDRE[1].setflags(write=False)
 
 
 def phi(x: float | np.ndarray) -> float | np.ndarray:
@@ -186,28 +191,22 @@ class QuadratureRule(NamedTuple):
     support: tuple[float, float]
 
 
-def quadrature_rule(
-    *,
-    panels: int = DEFAULT_PANELS,
-    order: int = DEFAULT_ORDER,
-    half_width: float = HALF_WIDTH,
-) -> QuadratureRule:
-    """Composite Gauss-Legendre rule on [-half_width, half_width].
+def quadrature_rule() -> QuadratureRule:
+    """The default composite Gauss-Legendre rule: _LEGENDRE on each of
+    DEFAULT_PANELS equal panels of [-HALF_WIDTH, HALF_WIDTH].
 
-    The support is cut into ``panels`` equal panels with ``order``
-    nodes each.  Callers translate the rule to wherever they need it.
+    The package itself lays _LEGENDRE on its own lattice (see
+    intervals._Curve) and does not call this; it is kept for the
+    benchmark's set-up probe, and moves to the tests' helpers once that
+    probe no longer needs it (ROADMAP item 2).
     """
-    if panels < 1 or order < 2:
-        raise ValueError("quadrature_rule: need panels >= 1 and order >= 2")
-    if not half_width > 0.0:
-        raise ValueError("quadrature_rule: half_width must be positive")
-    base_x, base_w = leggauss(order)
-    edges = np.linspace(-half_width, half_width, panels + 1)
+    base_x, base_w = _LEGENDRE
+    edges = np.linspace(-HALF_WIDTH, HALF_WIDTH, DEFAULT_PANELS + 1)
     mid = 0.5 * (edges[:-1, None] + edges[1:, None])
     half = 0.5 * (edges[1:, None] - edges[:-1, None])
     return QuadratureRule(nodes=(mid + half * base_x).ravel(),
                           weights=(half * base_w).ravel(),
-                          support=(-half_width, half_width))
+                          support=(-HALF_WIDTH, HALF_WIDTH))
 
 
 def _upper_tail(x: np.ndarray) -> np.ndarray:

@@ -299,14 +299,16 @@ class _Curve:
 
     That is z_a, the nominal coverage, the h-lattice with its tiled
     weights, and the rule's shift and factor with the interval's ends
-    shift -+ z_a factor on a kept span of panels.  The nodes of panel p
-    are the one-panel rule translated to (p + 1/2) * width, so a node's
-    bits depend on p alone, not on the span it was evaluated in: a
-    window that overlaps the kept span or meets it only adds the panels
-    it lacks, up to LATTICE_NODES nodes in all, and any other window
-    replaces the span.  ``span`` is one tuple (first panel, end panel,
-    arrays, clean): panels first to end - 1 are kept, with the arrays
-    by name, and clean says whether every kept node has ordered ends and
+    shift -+ z_a factor on a kept span of panels.  A panel's rule is the
+    one Legendre pair gauss._LEGENDRE scaled by width / 2, with no other
+    rounding and no rule built per curve.  The nodes of panel p are that
+    rule translated to (p + 1/2) * width, so a node's bits depend on p
+    alone, not on the span it was evaluated in: a window that overlaps
+    the kept span or meets it only adds the panels it lacks, up to
+    LATTICE_NODES nodes in all, and any other window replaces the span.
+    ``span`` is one tuple (first panel, end panel, arrays, clean):
+    panels first to end - 1 are kept, with the arrays by name, and
+    clean says whether every kept node has ordered ends and
     a finite factor; if not, the integrals check each window they read.
     keep replaces the tuple whole and returns what the caller reads, so
     no reader looks at the curve's span again, and a call that another
@@ -319,11 +321,11 @@ class _Curve:
     def __init__(self, geometry: kernel.RuleGeometry, rho: float, spec: PretestSpec,
                  alpha: float) -> None:
         self.width, self.window = _panel_width(rho, spec)
-        rule = gauss.quadrature_rule(panels=1, half_width=0.5 * self.width)
-        self.nodes, self.order = rule.nodes, rule.nodes.size
+        half = 0.5 * self.width
+        self.nodes, self.order = half * gauss._LEGENDRE[0], gauss.DEFAULT_ORDER
         self.local = self._h(0, self.window)[None, :]
         self.size = self.local.size
-        self.weights = np.tile(rule.weights, self.window)
+        self.weights = np.tile(half * gauss._LEGENDRE[1], self.window)
         self.geometry, self.rho, self.spec = geometry, rho, spec
         self.z_a = _z_alpha(alpha)
         # The full-model interval covers with this probability given any
@@ -409,8 +411,8 @@ def _prepared(geometry: kernel.RuleGeometry, rho: float, spec: PretestSpec,
     reads its window as slices of the span the grid kept, and figure1's
     delta-method length curve reuses the span of its coverage curve.
     The key holds the rule's entry of kernel.RULES, not just its name.
-    This is the only cache the integrals use: the lattice's one-panel
-    rule is built once per prepared curve, and the closed-form PMS
+    This is the only cache the integrals use: a prepared curve scales
+    gauss's one Legendre pair, built at import, and the closed-form PMS
     coverage needs none.
     """
     return _Curve(geometry, rho, spec, alpha)
@@ -692,8 +694,8 @@ def _scaled_length(
     c_min = float(c_min)
     if not 0.0 < c_min < 1.0:
         raise ValueError(f"scaled expected length: c_min must be in (0, 1), got {c_min}")
-    ratio = _z_alpha(alpha) / _z_level(c_min)
     curve = _prepared(kernel.RULES[which], scenario.rho, spec, alpha)
+    ratio = curve.z_a / _z_level(c_min)
     gammas = float(scenario.gamma) if np.ndim(scenario.gamma) == 0 else scenario.gamma
     out = np.empty(np.size(gammas))
     for positions, gamma, _, mass, clean, factor in _windows(curve, gammas, ("factor",)):

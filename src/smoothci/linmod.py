@@ -181,38 +181,43 @@ def _parse_rows(path: str, header: bool) -> np.ndarray:
     at cell by cell: a row whose cells are all blank is skipped (a
     blank cell never parses), any other names its first bad cell.  An
     error names the physical line its record ends on, which a quoted
-    newline puts past the record's number.
+    newline puts past the record's number.  The reader's own errors, such
+    as a field longer than csv.field_size_limit(), become ValueErrors
+    that name their line too.
     """
     flat: list[float] = []
     width = None
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        if header:
-            next(reader, None)
-        for row in reader:
-            if not row:
-                continue
-            try:
-                vals = list(map(float, row))
-            except ValueError:
-                if all(cell.strip() == "" for cell in row):
+        try:
+            if header:
+                next(reader, None)
+            for row in reader:
+                if not row:
                     continue
-                for colno, cell in enumerate(row, start=1):
-                    try:
-                        float(cell)
-                    except ValueError:
-                        raise ValueError(
-                            f"{path}: line {reader.line_num}, column {colno}: "
-                            f"cannot parse {cell.strip()!r} as a number"
-                        ) from None
-                raise
-            if width is None:
-                width = len(vals)
-            elif len(vals) != width:
-                raise ValueError(
-                    f"{path}: line {reader.line_num}: expected {width} columns, got {len(vals)}"
-                )
-            flat += vals
+                try:
+                    vals = list(map(float, row))
+                except ValueError:
+                    if all(cell.strip() == "" for cell in row):
+                        continue
+                    for colno, cell in enumerate(row, start=1):
+                        try:
+                            float(cell)
+                        except ValueError:
+                            raise ValueError(
+                                f"{path}: line {reader.line_num}, column {colno}: "
+                                f"cannot parse {cell.strip()!r} as a number"
+                            ) from None
+                    raise
+                if width is None:
+                    width = len(vals)
+                elif len(vals) != width:
+                    raise ValueError(
+                        f"{path}: line {reader.line_num}: expected {width} columns, got {len(vals)}"
+                    )
+                flat += vals
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if width is None:
         raise ValueError(f"{path}: no data rows")
     return np.array(flat).reshape(-1, width)

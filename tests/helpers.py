@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from smoothci import gauss, kernel, oracle
-from smoothci.gauss import QuadratureRule, phi, quadrature_rule
+from smoothci.gauss import QuadratureRule, phi
 from smoothci.kernel import IntervalRule, PretestSpec, k
 
 
@@ -174,7 +174,7 @@ def kernel_moments(
     all by quadrature over a panels x order matrix of k values in the
     standardized variable.
     """
-    rule = quadrature_rule(panels=panels, order=order)
+    rule = breakpoint_rule(panels=panels, order=order)
     z = rule.nodes
     w = rule.weights * phi(z)
     kmat = k(g[None, :] + z[:, None], spec)
@@ -234,33 +234,37 @@ def parse_rows_by_cell(path: str, header: bool) -> list[list[float]]:
 
     ``linmod._parse_rows`` converts a row in one call and looks at its
     cells only when that fails; this loop is the reference it must
-    match, in values, skipped rows and error messages.
+    match, in values, skipped rows and error messages, the reader's own
+    errors (csv.Error) included.
     """
     rows: list[list[float]] = []
     width = None
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        for recno, row in enumerate(reader, start=1):
-            if recno == 1 and header:
-                continue
-            if not row or all(cell.strip() == "" for cell in row):
-                continue
-            vals = []
-            for colno, cell in enumerate(row, start=1):
-                try:
-                    vals.append(float(cell))
-                except ValueError:
+        try:
+            for recno, row in enumerate(reader, start=1):
+                if recno == 1 and header:
+                    continue
+                if not row or all(cell.strip() == "" for cell in row):
+                    continue
+                vals = []
+                for colno, cell in enumerate(row, start=1):
+                    try:
+                        vals.append(float(cell))
+                    except ValueError:
+                        raise ValueError(
+                            f"{path}: line {reader.line_num}, column {colno}: "
+                            f"cannot parse {cell.strip()!r} as a number"
+                        ) from None
+                if width is None:
+                    width = len(vals)
+                elif len(vals) != width:
                     raise ValueError(
-                        f"{path}: line {reader.line_num}, column {colno}: "
-                        f"cannot parse {cell.strip()!r} as a number"
-                    ) from None
-            if width is None:
-                width = len(vals)
-            elif len(vals) != width:
-                raise ValueError(
-                    f"{path}: line {reader.line_num}: expected {width} columns, got {len(vals)}"
-                )
-            rows.append(vals)
+                        f"{path}: line {reader.line_num}: expected {width} columns, got {len(vals)}"
+                    )
+                rows.append(vals)
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return rows

@@ -9,6 +9,7 @@ criterion; -s additionally shows the measured numbers.
 """
 
 import csv
+import itertools
 import math
 import pathlib
 import subprocess
@@ -423,3 +424,21 @@ def test_c8_linear_model_round_trip(tmp_path):
         f"c8: corr={corr:.6f} vs analytic {rho_analytic:.6f} "
         f"(|z| = {abs(corr - rho_analytic) / se:.2f}); stored intervals reproduced"
     )
+
+
+def test_c9_min_coverage_order_across_the_domain():
+    """The smoothed interval's minimum coverage lies strictly between the
+    select-then-estimate interval's and the nominal level, not only at
+    rho 0.7 (c5) but on a grid over alpha, the pretest size and rho."""
+    margins = []
+    for alpha, size, rho in itertools.product(
+            (0.01, 0.05, 0.1), (0.01, 0.05, 0.2, 0.4, 0.8),
+            (0.05, 0.3, 0.5, 0.7, 0.9, 0.999)):
+        spec = PretestSpec.from_size(size)
+        pms = min_coverage(rho, spec, alpha, IntervalRule.PMS).c_min
+        delta = min_coverage(rho, spec, alpha, IntervalRule.SD_DELTA).c_min
+        assert pms < delta < 1.0 - alpha, (alpha, size, rho, pms, delta)
+        margins.append((delta - pms, alpha, size, rho))
+    least = min(margins)
+    print(f"c9: least margin c_min(sd_delta) - c_min(pms) {least[0]:.2e} "
+          f"at alpha {least[1]}, size {least[2]}, rho {least[3]}")

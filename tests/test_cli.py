@@ -208,6 +208,14 @@ class TestFit:
         assert res.returncode == 1
         assert "line 2, column 1" in res.stderr
 
+    def test_oversized_field_is_one_error_line(self, cli, tmp_path):
+        args = write_fit_files(tmp_path, x_rows=["x" * 200000 + ",1", "0,1", "1,0", "0,1"])
+        res = cli("fit", *args, "--sigma", "1")
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+        assert "line 1: field larger than field limit" in res.stderr
+
     def test_singular_design(self, cli, tmp_path):
         args = write_fit_files(tmp_path, x_rows=["1,1", "2,2", "3,3", "4,4"])
         res = cli("fit", *args, "--sigma", "1")

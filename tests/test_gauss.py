@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import breakpoint_rule, integrate_against_shifted_normal
-from smoothci import gauss
+from smoothci import gauss, intervals, kernel
 from smoothci.gauss import (
     Phi,
     Phi_interval,
@@ -24,6 +24,7 @@ from smoothci.gauss import (
     quadrature_rule,
     z_quantile,
 )
+from smoothci.kernel import IntervalRule, PretestSpec
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -250,11 +251,6 @@ class TestQuadratureRule:
         assert np.array_equal(breakpoint_rule((25.0,)).nodes, plain.nodes)
         assert np.array_equal(breakpoint_rule((25.0,)).weights, plain.weights)
 
-    def test_validation(self):
-        for bad in ({"panels": 0}, {"order": 1}, {"half_width": 0.0}):
-            with pytest.raises(ValueError, match="quadrature_rule: "):
-                quadrature_rule(**bad)
-
     def test_close_breakpoints_merge_against_the_last_kept_edge(self):
         # tol = 8e-12 at half width 8.  Of x, x + 5e-12, x + 1e-11 the
         # middle one is within tol of x and goes; the last is within tol
@@ -275,14 +271,15 @@ class TestQuadratureRule:
             assert breakpoint_rule((edges[14] + off, edges[24] + off)).nodes.size == size, off
 
     def test_one_panel_rule_is_the_default_rule_translated(self):
-        # The integrals' lattice lays the one-panel rule end to end; at
-        # the default width that reproduces the default rule's weights.
-        one = quadrature_rule(panels=1, half_width=0.2)
+        # The integrals' lattice lays one scaled Legendre panel end to
+        # end; at the default width of 0.4, panels -20 to 19 reproduce
+        # the default rule's nodes and weights.
+        lattice = intervals._Curve(kernel.RULES[IntervalRule.SD], 0.0,
+                                   PretestSpec.from_cutoff(1.645), 0.05)
+        assert lattice.width == 0.4
         plain = quadrature_rule()
-        assert np.allclose(np.tile(one.weights, 40), plain.weights, rtol=0, atol=1e-15)
-        centers = np.linspace(-7.8, 7.8, 40)
-        assert np.allclose((centers[:, None] + one.nodes).ravel(), plain.nodes,
-                           rtol=0, atol=1e-14)
+        assert np.allclose(lattice.weights[:400], plain.weights, rtol=0, atol=1e-15)
+        assert np.allclose(lattice._h(-20, 20), plain.nodes, rtol=0, atol=1e-14)
 
 
 class TestBvnOrthant:

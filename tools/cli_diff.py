@@ -8,9 +8,10 @@ not ignored, files).  Each side then runs the fixed argv corpus CORPUS
 through its own ``smoothci.cli.main``, all of it in one fresh
 interpreter per side.  Every argv runs in an empty working directory
 that holds only the ``fit`` inputs, copied from this checkout's
-``tests/data``, and ``quoted.csv``, a design whose second record ends
-on its third line.  Relative paths keep each side's messages free of
-its export directory.
+``tests/data``, ``quoted.csv``, a design whose second record ends on
+its third line, and ``wide.csv``, whose first cell is one character
+longer than the csv module's default field limit of 131,072.  Relative
+paths keep each side's messages free of its export directory.
 
 The tool prints every argv whose exit code, stdout, stderr or written
 files differ between the sides, with a line diff of each part that
@@ -36,6 +37,7 @@ from bench_compare import ROOT, export
 #: The fit inputs every argv's working directory holds.
 FIT_INPUTS = ("design.csv", "response.csv", "theta_vec.csv", "tau_vec.csv")
 QUOTED = '"1\n",2\n3,x\n'
+WIDE = "x" * 131073 + ",1\n"
 #: fit's file flags after --design.
 FIT_REST = ["--response", "response.csv", "--theta-vec", "theta_vec.csv",
             "--tau-vec", "tau_vec.csv"]
@@ -48,7 +50,7 @@ CURVE = ["curve", "--quantity", "cp", "--rho", "0"]
 #: the narrow lattice of |rho| near 1, the closed-form PMS coverage, the
 #: merge of a prepared curve's kept span and the coverages a later array
 #: reuses, and each argument and validation error, grids too large to
-#: build included.
+#: build and CSV fields too long to read included.
 CORPUS = [
     ["-h"],
     *([name, "-h"] for name in ("curve", "figure1", "cmin", "fit", "verify")),
@@ -104,6 +106,7 @@ CORPUS = [
     [*FIT, "--sigma", "0"],
     [*FIT, "--sigma", "1", "--header"],
     ["fit", "--design", "quoted.csv", *FIT_REST, "--sigma", "1"],
+    ["fit", "--design", "wide.csv", *FIT_REST, "--sigma", "1"],
     ["fit", "--design", "missing.csv", *FIT_REST, "--sigma", "1"],
 ]
 
@@ -120,6 +123,7 @@ def print_outcomes() -> None:
 
     inputs = {name: (ROOT / "tests" / "data" / name).read_bytes() for name in FIT_INPUTS}
     inputs["quoted.csv"] = QUOTED.encode()
+    inputs["wide.csv"] = WIDE.encode()
     outcomes = []
     home = os.getcwd()
     with tempfile.TemporaryDirectory(prefix="cli_diff_") as tmp:
