@@ -7,7 +7,8 @@ integrals of smooth functions against a shifted standard normal
 density.  The quadrature engine is one Gauss-Legendre pair of order
 DEFAULT_ORDER on [-1, 1], _LEGENDRE, built once at import; the coverage
 and length integrals scale it to the panels of a lattice in the
-restriction statistic, laid end to end (see intervals._Curve).
+restriction statistic, laid end to end and sized per curve (see
+intervals._Curve).  DEFAULT_PANELS only shapes quadrature_rule.
 With the default half width of 8 the neglected tail mass of a window
 is at most 2*Phi(-8), about 1.2e-15, far below every tolerance used in
 this package.  _orthant gives the bivariate orthant probabilities
@@ -18,8 +19,10 @@ values the intervals and lengths use, each in one place.
 
 The public functions check their input and then call a private core
 that holds the formula: phi calls _density, Phi _upper_tail and
-Phi_interval _interval.  The coverage integrals call the cores
-directly on arguments they build finite and ordered, and check what
+Phi_interval _interval, whose _erfc skips scipy's erfc where its value
+is exactly 2 or 0 when many of a block's arguments are there.  The
+coverage integrals call the cores directly on arguments they build
+finite and ordered, and check what
 could go wrong only where an evaluated span of the lattice holds a bad
 node (see intervals), so each formula has one definition and a clean
 span costs no check per gamma.
@@ -40,10 +43,19 @@ _INV_SQRT_2PI = 1.0 / _SQRT_2PI
 
 #: Truncation half width of the integration support.
 HALF_WIDTH = 8.0
-#: Number of uniform panels the support is divided into.
+#: Number of uniform panels quadrature_rule divides the support into;
+#: the integrals' lattice sizes its own panels (intervals._panel_width).
 DEFAULT_PANELS = 40
 #: Gauss-Legendre nodes per panel.
 DEFAULT_ORDER = 10
+
+#: erfc(x) is exactly 2.0 for x <= ERFC_TWO and exactly 0.0 for
+#: x >= ERFC_ZERO, with scipy's erfc (found by bisection; the tests pin
+#: both ends, so a change in scipy shows).
+ERFC_TWO = -5.863584748755168
+ERFC_ZERO = 26.64174755704633
+#: Least share of saturated erfc arguments at which _erfc skips erfc on them.
+SATURATED_SHARE = 0.25
 
 # The order-DEFAULT_ORDER Gauss-Legendre nodes and weights on [-1, 1],
 # built once; every panel rule scales this pair.
@@ -175,8 +187,31 @@ def _interval(l, u, mu, s):
     """
     a = (l - mu) / s
     b = (u - mu) / s
-    p = 0.5 * (erfc(np.maximum(a, -b) / _SQRT2) - erfc(np.maximum(b, -a) / _SQRT2))
+    p = 0.5 * (_erfc(np.maximum(a, -b) / _SQRT2) - _erfc(np.maximum(b, -a) / _SQRT2))
     return np.minimum(np.maximum(p, 0.0), 1.0)
+
+
+def _erfc(x):
+    """scipy's erfc(x), called only where its value is not saturated
+    when many values are.
+
+    erfc is exactly 2.0 at and below ERFC_TWO and exactly 0.0 at and
+    above ERFC_ZERO, so those values are set without it, with the same
+    bits.  Picking them out costs a pass of comparisons and a gather,
+    more than it saves where few values saturate, so it is done only
+    when at least SATURATED_SHARE of every 16th value are; at |rho|
+    near 1 most of a window's nodes are.
+    """
+    x = np.asarray(x)
+    sample = x.ravel()[::16]
+    saturated = np.count_nonzero((sample <= ERFC_TWO) | (sample >= ERFC_ZERO))
+    if saturated < SATURATED_SHARE * sample.size:
+        return erfc(x)
+    low = x <= ERFC_TWO
+    rest = ~(low | (x >= ERFC_ZERO))
+    out = np.where(low, 2.0, 0.0)
+    out[rest] = erfc(x[rest])
+    return out
 
 
 class QuadratureRule(NamedTuple):

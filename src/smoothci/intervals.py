@@ -49,13 +49,14 @@ _interval and _orthant).  Each evaluated span records whether all its
 ends are ordered and all its factors finite; only when they are not
 does an integral check the windows it reads, so a failure still names
 its gamma and a clean span costs no check per window.  The panels are
-narrowed as |rho| nears 1 or the cutoff grows, where the integrand
-switches over a short range of h, so the default rule holds its
-accuracy up to RHO_MAX.  Nothing here takes quadrature knobs: every
-integral uses the lattice's one rule, gauss.DEFAULT_PANELS panels of
-DEFAULT_ORDER nodes at the least.  The tests check it against an
-independent quadrature in h that shares only the rules of kernel.RULES
-with this module (tests/helpers.py).
+sized once per prepared curve by the speed of the interval's ends in h
+(_panel_width): they narrow as |rho| nears 1, the cutoff grows or alpha
+shrinks, where the integrand switches over a short range of h, and
+stay at MIN_PANELS over the support elsewhere.  Nothing here takes
+quadrature knobs: every integral uses the lattice's one rule, panels of
+DEFAULT_ORDER nodes.  The tests check it against an independent
+quadrature in h that shares only the rules of kernel.RULES with this
+module (tests/helpers.py).
 
 A Scenario's gamma may be a 1-d array: the coverage and length
 functions then return one value per gamma, as an array, and a float
@@ -89,14 +90,26 @@ GAMMA_TOL = 1e-4
 SEARCH_GRID_STEP = 0.05
 SEARCH_GAMMA_MAX = 12.0
 #: Most (gamma, node) pairs one pass of a coverage or length integral
-#: evaluates: 31 of the default 410-node windows, 4 of the 2,790-node
-#: windows at RHO_MAX and the default cutoff.
+#: evaluates: 60 of the 210-node windows of |rho| up to about 0.8 at the
+#: default cutoff, 3 of the 3,710-node SD_DELTA windows at RHO_MAX.
 BLOCK_NODES = 32 * 400
 #: Most widths over which a conditional coverage switches that one
-#: lattice panel may span (see _panel_width).  With 1.5 the default
-#: rule stays within 5e-15 of a 1280 x 20 one for cutoffs up to 10 and
-#: |rho| up to RHO_MAX; with 2 the error reaches 4e-13.
-PANEL_SWITCHES = 1.5
+#: lattice panel may span, and fewest panels over the support 2 *
+#: HALF_WIDTH (see _panel_width).  On seeded sweeps of alpha in
+#: [1e-8, 0.5] and d in [0.05, 37] against tests/helpers.h_quadrature,
+#: 2 switches kept every coverage within 3e-15 up to |rho| = RHO_MAX and
+#: 2.5 let it reach 4e-14; at |rho| up to 0.9 a floor of 18 panels kept
+#: it and 16 let it reach 1e-14.  The floor of 20 gives |rho| up to
+#: about 0.8 at the default cutoff windows of 21 panels 0.8 wide.
+PANEL_SWITCHES = 2.0
+MIN_PANELS = 20
+#: Step of the grid in h on which _panel_width takes the speed of the
+#: ends; it reads the largest speed at least 94 % of a 0.01 step's.
+SPEED_STEP = 0.25
+#: Least c_min a scaled length is normalized by: the coverage integrals
+#: round by about 1e-15, so below it z_{(1 + c_min)/2} can be more than
+#: 1e-9 off relative to itself.
+C_MIN_FLOOR = 1e-6
 #: Most lattice nodes a prepared curve keeps shift and factor values
 #: for; gammas spread farther apart are integrated in several passes.
 LATTICE_NODES = 1 << 16
@@ -274,22 +287,34 @@ def build_interval(
     )
 
 
-def _panel_width(rho: float, spec: PretestSpec) -> tuple[float, int]:
+def _panel_width(geometry: kernel.RuleGeometry, rho: float, spec: PretestSpec,
+                 z_a: float) -> tuple[float, int]:
     """Width of the h-lattice's panels and the panels one window spans.
 
-    Given h the standardized estimate has standard deviation
-    s = sqrt(1 - rho^2), and its distance from a smoothed interval's
-    center, rho (h - gamma) - rho k(h), moves at rate |rho| (1 - q(h))
-    in h; 1 - q peaks at about 1 - q(d), near h = +-d.  So the
-    conditional coverage switches over an h-width of about
-    s / (|rho| (1 - q(d))), which at |rho| near 1 or a large cutoff is
-    far narrower than the default panel.  The support 2 * HALF_WIDTH
-    gets at least DEFAULT_PANELS panels, none wider than PANEL_SWITCHES
-    switch widths.  A window of count + 1 whole panels covers
-    [gamma - HALF_WIDTH, gamma + HALF_WIDTH] wherever gamma falls.
+    Given h the standardized estimate is N(rho (h - gamma), s^2),
+    s = sqrt(1 - rho^2), so the conditional coverage switches where the
+    standardized ends (shift(h) -+ z_a factor(h) - rho h) / s cross
+    -rho gamma / s, and the wider they move per unit of h, the shorter
+    the range of h the switch takes.  Their largest speed, from
+    differences on a grid of step SPEED_STEP over [0, d + HALF_WIDTH],
+    where the rule's terms change, sizes the panels: the support
+    2 * HALF_WIDTH gets at least MIN_PANELS panels, none wider than
+    PANEL_SWITCHES switch widths 1 / speed.  The speed is taken at |rho|,
+    so rho and -rho get the same lattice, and non-finite terms are
+    skipped, so a rule that fails somewhere is sized by where it does
+    not, and fails where its windows read.  A window of count + 1 whole
+    panels covers [gamma - HALF_WIDTH, gamma + HALF_WIDTH] wherever
+    gamma falls.
     """
-    switches = abs(rho) * (1.0 - kernel.q(spec.d, spec)) / math.sqrt(1.0 - rho * rho)
-    count = max(gauss.DEFAULT_PANELS, math.ceil(2.0 * gauss.HALF_WIDTH * switches / PANEL_SWITCHES))
+    rho = abs(rho)
+    h = np.arange(math.ceil((spec.d + gauss.HALF_WIDTH) / SPEED_STEP) + 1) * SPEED_STEP
+    shift, factor = geometry.terms(h, rho, spec)
+    center, half = shift - rho * h, z_a * factor
+    with np.errstate(invalid="ignore", over="ignore"):
+        steps = np.abs(np.diff([center - half, center + half]))
+    fastest = np.max(steps[np.isfinite(steps)], initial=0.0) / SPEED_STEP
+    switches = 2.0 * gauss.HALF_WIDTH * fastest / math.sqrt(1.0 - rho * rho)
+    count = max(MIN_PANELS, math.ceil(switches / PANEL_SWITCHES))
     return 2.0 * gauss.HALF_WIDTH / count, count + 1
 
 
@@ -320,14 +345,14 @@ class _Curve:
 
     def __init__(self, geometry: kernel.RuleGeometry, rho: float, spec: PretestSpec,
                  alpha: float) -> None:
-        self.width, self.window = _panel_width(rho, spec)
+        self.z_a = _z_alpha(alpha)
+        self.width, self.window = _panel_width(geometry, rho, spec, self.z_a)
         half = 0.5 * self.width
         self.nodes, self.order = half * gauss._LEGENDRE[0], gauss.DEFAULT_ORDER
         self.local = self._h(0, self.window)[None, :]
         self.size = self.local.size
         self.weights = np.tile(half * gauss._LEGENDRE[1], self.window)
         self.geometry, self.rho, self.spec = geometry, rho, spec
-        self.z_a = _z_alpha(alpha)
         # The full-model interval covers with this probability given any
         # h at rho = 0; only the departure from it is integrated.
         self.nominal = Phi_interval(-self.z_a, self.z_a, 0.0, 1.0)
@@ -689,11 +714,17 @@ def _scaled_length(
     z_{1 - alpha/2} E[factor(h)] / z_{(1 + c_min)/2}, the expectation
     taken on the same h-lattice windows as the coverage, as 1 plus
     that of factor - 1 (the flat rate's factor), for the same reasons.
+    A c_min below C_MIN_FLOOR is refused: the coverage integral that
+    gives it rounds by about 1e-15, so such a c_min may be all rounding
+    and its quantile off by more than 1e-9 of itself.
     """
     alpha = _check_alpha(alpha)
     c_min = float(c_min)
     if not 0.0 < c_min < 1.0:
         raise ValueError(f"scaled expected length: c_min must be in (0, 1), got {c_min}")
+    if c_min < C_MIN_FLOOR:
+        raise ValueError(f"scaled expected length: c_min = {c_min} is below {C_MIN_FLOOR}, "
+                         "where the coverage integral's rounding can be all of it")
     curve = _prepared(kernel.RULES[which], scenario.rho, spec, alpha)
     ratio = curve.z_a / _z_level(c_min)
     gammas = float(scenario.gamma) if np.ndim(scenario.gamma) == 0 else scenario.gamma

@@ -117,6 +117,18 @@ class TestCurve:
         assert cli("curve", "--quantity", "cp", "--rho", "0",
                    "--no-such-flag").returncode == 1
 
+    def test_length_refuses_a_c_min_at_the_rounding_floor(self, cli):
+        # At rho 0.999 and d 30 the SD_DELTA minimum coverage is a few
+        # ulps of 1, the rounding of its integral, so no length is
+        # normalized by it.
+        res = cli("curve", "--quantity", "sel_delta", "--rho", "0.999", "--cutoff-d", "30",
+                  "--gamma-max", "1", "--step", "0.5")
+        assert res.returncode == 1 and res.stdout == ""
+        lines = res.stderr.strip().split("\n")
+        assert len(lines) == 1 and lines[0].startswith("error: scaled expected length: "
+                                                       "c_min = "), res.stderr
+        assert "is below 1e-06" in lines[0]
+
     def test_pretest_flags_mutually_exclusive(self, cli):
         res = cli("curve", "--quantity", "cp", "--rho", "0",
                   "--pretest-size", "0.1", "--cutoff-d", "1.6")

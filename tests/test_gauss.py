@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import erfc
 
 from helpers import breakpoint_rule, integrate_against_shifted_normal
 from smoothci import gauss, intervals, kernel
@@ -174,6 +175,47 @@ class TestZQuantile:
             z_quantile(bad)
 
 
+class TestSaturatedErfc:
+    def test_thresholds_are_where_scipy_saturates(self):
+        # erfc is exactly 2.0 at ERFC_TWO and below, exactly 0.0 at
+        # ERFC_ZERO and above, and not one double toward 0 of either.
+        two, zero = gauss.ERFC_TWO, gauss.ERFC_ZERO
+        assert erfc(two) == erfc(np.nextafter(two, -np.inf)) == erfc(-np.inf) == 2.0
+        assert erfc(np.nextafter(two, 0.0)) < 2.0
+        assert erfc(zero) == erfc(np.nextafter(zero, np.inf)) == erfc(np.inf) == 0.0
+        assert erfc(np.nextafter(zero, 0.0)) > 0.0
+
+    @pytest.mark.parametrize("share", [0.0, 0.25, 2.0])
+    def test_saturated_values_are_erfc_bit_for_bit(self, monkeypatch, share):
+        # Gated in, gated by the share, or gated out: the same bits as
+        # erfc, NaN and infinities included.
+        rng = np.random.default_rng(11)
+        x = np.concatenate([rng.uniform(-10.0, 40.0, 4000), rng.normal(0.0, 3.0, 4000),
+                            [gauss.ERFC_TWO, gauss.ERFC_ZERO, -np.inf, np.inf, np.nan,
+                             np.nextafter(gauss.ERFC_TWO, 0.0),
+                             np.nextafter(gauss.ERFC_ZERO, 0.0)]])
+        monkeypatch.setattr(gauss, "SATURATED_SHARE", share)
+        for arr in (x, x.reshape(1, -1), x[::3]):
+            assert np.array_equal(gauss._erfc(arr), erfc(arr), equal_nan=True)
+
+    def test_integral_blocks_at_high_rho_keep_their_bits(self, monkeypatch):
+        # At rho 0.999 most of a window's conditional coverages are
+        # exactly 0 or 1: the coverages with the saturated arguments set
+        # are those of erfc on every argument.
+        spec = PretestSpec.from_size(0.1)
+        grid = intervals.Scenario(np.arange(0.0, 12.01, 0.05), 0.999)
+
+        def coverages(share):
+            monkeypatch.setattr(gauss, "SATURATED_SHARE", share)
+            intervals._prepared.cache_clear()
+            return [cov(grid, spec, 0.05)
+                    for cov in (intervals.coverage_sd, intervals.coverage_sd_delta)]
+
+        saturated = coverages(gauss.SATURATED_SHARE)
+        plain = coverages(2.0)
+        assert all(np.array_equal(a, b) for a, b in zip(saturated, plain))
+
+
 class TestPhiInterval:
     def test_reference_value(self):
         assert Phi_interval(-1.96, 1.96, 0.0, 1.0) == pytest.approx(0.9500042097, abs=1e-10)
@@ -272,14 +314,15 @@ class TestQuadratureRule:
 
     def test_one_panel_rule_is_the_default_rule_translated(self):
         # The integrals' lattice lays one scaled Legendre panel end to
-        # end; at the default width of 0.4, panels -20 to 19 reproduce
-        # the default rule's nodes and weights.
+        # end; at rho 0 its panels are 16 / MIN_PANELS = 0.8 wide, and
+        # panels -10 to 9 reproduce the composite rule of 20 panels on
+        # [-8, 8].
         lattice = intervals._Curve(kernel.RULES[IntervalRule.SD], 0.0,
                                    PretestSpec.from_cutoff(1.645), 0.05)
-        assert lattice.width == 0.4
-        plain = quadrature_rule()
-        assert np.allclose(lattice.weights[:400], plain.weights, rtol=0, atol=1e-15)
-        assert np.allclose(lattice._h(-20, 20), plain.nodes, rtol=0, atol=1e-14)
+        assert lattice.width == 0.8 and lattice.window == 21
+        plain = breakpoint_rule(panels=20)
+        assert np.allclose(lattice.weights[:200], plain.weights, rtol=0, atol=1e-15)
+        assert np.allclose(lattice._h(-10, 10), plain.nodes, rtol=0, atol=1e-14)
 
 
 class TestBvnOrthant:

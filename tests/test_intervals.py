@@ -265,11 +265,17 @@ def _edge_gammas(spec: PretestSpec, index: int) -> list[float]:
     return [float(on + off) for off in (0.0, 1e-12, -1e-12, 5e-13, -5e-13, 2e-11, -2e-11)]
 
 
-def _panel_edge_gammas(spec: PretestSpec, rho: float, near: float) -> list[float]:
-    """The least gamma whose window starts on the lattice panel edge
-    nearest ``near`` (the start (gamma - 8) / W reaches the edge's
+def _width(rule: IntervalRule, rho: float, spec: PretestSpec) -> float:
+    """Panel width W of the rule's h-lattice."""
+    return intervals_mod._prepared(kernel.RULES[rule], rho, spec, ALPHA).width
+
+
+def _panel_edge_gammas(spec: PretestSpec, rule: IntervalRule, rho: float,
+                       near: float) -> list[float]:
+    """The least gamma whose window starts on the rule's lattice panel
+    edge nearest ``near`` (the start (gamma - 8) / W reaches the edge's
     index there), and the gammas one ulp either side of it."""
-    width, _ = intervals_mod._panel_width(rho, spec)
+    width = _width(rule, rho, spec)
     edge = round((near - gauss.HALF_WIDTH) / width)
     g = gauss.HALF_WIDTH + edge * width
     while (g - gauss.HALF_WIDTH) / width >= edge:
@@ -294,15 +300,18 @@ class TestBatchedGammas:
 
     @staticmethod
     def gammas(spec: PretestSpec) -> np.ndarray:
-        # 81 points span three blocks; the edge cases sit in the middle.
-        # They put a window's start on a panel edge of the lattices of
-        # rho 0.7 and -0.999, or one ulp of gamma either side, where a
-        # scalar call's slice of the kept span moves by a whole panel.
-        grid = list(np.arange(0.0, 12.01, 0.15))
-        grid[40:40] = [g for rho in (0.7, -0.999) for near in (1.9, 2.3)
-                       for g in _panel_edge_gammas(spec, rho, near)]
-        # Windows of at least 41 panels of 10 nodes.
-        assert len(grid) > 2 * (intervals_mod.BLOCK_NODES // 410)
+        # 145 points span three blocks; the edge cases sit in the middle.
+        # They put a window's start on a panel edge of the SD and SD_DELTA
+        # lattices of rho 0.7 and -0.999, or one ulp of gamma either side,
+        # where a scalar call's slice of the kept span moves by a whole
+        # panel.
+        grid = list(np.arange(121) * 0.1)
+        grid[60:60] = [g for rule in (IntervalRule.SD, IntervalRule.SD_DELTA)
+                       for rho in (0.7, -0.999) for near in (1.9, 2.3)
+                       for g in _panel_edge_gammas(spec, rule, rho, near)]
+        # Windows of at least MIN_PANELS + 1 panels of 10 nodes.
+        window = (intervals_mod.MIN_PANELS + 1) * gauss.DEFAULT_ORDER
+        assert len(grid) > 2 * (intervals_mod.BLOCK_NODES // window)
         return np.array(grid)
 
     @pytest.mark.parametrize("rho", [0.0, 0.7, -0.999])
@@ -345,9 +354,10 @@ class TestBatchedGammas:
         # passes of their own; values still equal the scalar calls, and
         # the order of the gammas does not matter.
         span = intervals_mod.LATTICE_NODES // gauss.DEFAULT_ORDER
-        width, _ = intervals_mod._panel_width(rho, SPEC10)
-        grid = np.array([3.0 * span * width, 0.0, 0.5, 1.5 * span * width, 0.25])
-        for fn, args in ((coverage_sd_delta, ()), (sel_sd, (0.9,))):
+        for fn, rule, args in ((coverage_sd_delta, IntervalRule.SD_DELTA, ()),
+                               (sel_sd, IntervalRule.SD, (0.9,))):
+            width = _width(rule, rho, SPEC10)
+            grid = np.array([3.0 * span * width, 0.0, 0.5, 1.5 * span * width, 0.25])
             batched = fn(Scenario(grid, rho), SPEC10, ALPHA, *args)
             scalar = [fn(Scenario(float(g), rho), SPEC10, ALPHA, *args) for g in grid]
             assert [float(v) for v in batched] == scalar, fn.__name__
@@ -397,6 +407,106 @@ class TestHighRhoAccuracy:
         cp = coverage_pms(Scenario(np.array([1.9, 2.0, 2.1]), 0.999),
                           PretestSpec.from_cutoff(6.0), ALPHA)
         assert np.all(cp == 0.0)
+
+
+def _lattice_errors(alpha: float, d: float, rho: float, gammas: np.ndarray):
+    """Largest errors of the four lattice functionals against h_quadrature.
+
+    Returns the coverages' largest absolute error and the lengths'
+    largest error in E[factor], z_{(1 + c_min)/2} / z_{1 - alpha/2} times
+    that of the length, relative to max(1, E[factor]), one pair per
+    smoothed rule.  The reference is taken one gamma at a time, on
+    [gamma - 8, gamma + 8] as the lattice's window is: beyond it a factor
+    of up to about d / sqrt(2 pi) meets the 1.2e-15 of normal mass the
+    windows leave out by design.
+    """
+    spec = PretestSpec.from_cutoff(d)
+    ratio = _z_alpha(alpha) / _z_level(0.9)
+    out = {}
+    for rule in (IntervalRule.SD, IntervalRule.SD_DELTA):
+        want = np.array([np.concatenate(h_quadrature([g], rho, spec, alpha, rule, c_min=0.9))
+                         for g in gammas])
+        grid = Scenario(gammas, rho)
+        cp = intervals_mod._coverage(grid, spec, alpha, rule)
+        mean = intervals_mod._scaled_length(grid, spec, alpha, 0.9, rule) / ratio
+        out[rule] = (np.max(np.abs(cp - want[:, 0])),
+                     np.max(np.abs(mean - want[:, 1] / ratio) / np.maximum(1.0, mean)))
+    return out
+
+
+class TestLatticeSizing:
+    """The h-lattice is sized by the speed of the interval's ends
+    (intervals._panel_width): every coverage within 5e-15 of h_quadrature
+    and every length's E[factor] within 5e-15 of it relative to
+    max(1, E[factor]) over alpha in [1e-8, 0.5], d in [0.05, 37] and
+    |rho| up to RHO_MAX.  The exact-SD length at cutoffs of 10 and more
+    reads kernel.r's own rounding, which grows with d^2 (its moments
+    subtract terms of size gamma^2), not the lattice's: there it is held
+    to 1e-13.
+    """
+
+    @staticmethod
+    def check(alpha, d, rho, gammas):
+        errors = _lattice_errors(alpha, d, rho, gammas)
+        for rule, (cp, length) in errors.items():
+            assert cp <= 5e-15, (rule, cp)
+            bound = 1e-13 if rule is IntervalRule.SD and d >= 10.0 else 5e-15
+            assert length <= bound, (rule, length)
+
+    def test_seeded_sweep(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(16):
+            alpha = float(10.0 ** rng.uniform(-8.0, math.log10(0.5)))
+            d = float(10.0 ** rng.uniform(math.log10(0.05), math.log10(37.0)))
+            rho = float((1.0 - 10.0 ** rng.uniform(-3.0, 0.0)) * rng.choice([-1.0, 1.0]))
+            self.check(alpha, d, rho, np.linspace(0.0, d + 8.0, 5))
+
+    #: ROADMAP item 3's corners, where the lattice sized by the speed of
+    #: the center alone read 7.2e-11, 1.3e-11, 4.1e-12 and 1.4e-15 in the
+    #: SD_DELTA coverage, and the worst cases of a 200-case sweep like
+    #: test_seeded_sweep's (seed 7, 9 gammas a case).
+    CORNERS = [
+        (1e-14, 30.0, 0.9), (1e-14, 10.0, 0.99), (1e-8, 10.0, 0.9), (0.05, 1.645, 0.999),
+        # SD coverage 2.3e-15, SD_DELTA coverage 2.1e-15, SD_DELTA
+        # length 3.0e-15 and SD length 2.8e-14 (kernel.r's rounding).
+        (2.046309044722924e-06, 16.047125855671794, -0.9989629590313018),
+        (0.0007037887165440086, 30.66216431865985, 0.9900449286366264),
+        (2.931531314609945e-07, 21.022053799981297, 0.9955168369011151),
+        (5.091453332633373e-08, 34.15092583870454, -0.9977598894298655),
+    ]
+
+    @pytest.mark.parametrize("alpha, d, rho", CORNERS)
+    def test_fixed_cases(self, alpha, d, rho):
+        self.check(alpha, d, rho, np.linspace(0.0, d + 8.0, 9))
+
+    @pytest.mark.parametrize("rule", [IntervalRule.SD, IntervalRule.SD_DELTA])
+    @pytest.mark.parametrize("d", [0.05, 1.645, 10.0, 37.0])
+    @pytest.mark.parametrize("rho", [0.3, 0.7, 0.99, 0.999])
+    def test_rho_and_minus_rho_share_a_lattice(self, rule, d, rho):
+        # The sizing pass reads |rho|, so the mirrored curves' windows
+        # are the same panels and their coverages are even in rho bit
+        # for bit.
+        spec = PretestSpec.from_cutoff(d)
+        plus = intervals_mod._prepared(kernel.RULES[rule], rho, spec, ALPHA)
+        minus = intervals_mod._prepared(kernel.RULES[rule], -rho, spec, ALPHA)
+        assert (plus.width, plus.window) == (minus.width, minus.window)
+        assert np.array_equal(plus.weights, minus.weights)
+
+    def test_non_finite_terms_do_not_size_the_lattice(self, monkeypatch):
+        # A factor that turns NaN past h = 8.4 leaves the panels as the
+        # finite terms size them: at rho 0.99 the ends move fastest near
+        # h = d, and the support gets more than MIN_PANELS panels.
+        geometry = kernel.RULES[IntervalRule.SD_DELTA]
+
+        def terms(h, rho, spec):
+            shift, factor = geometry.terms(h, rho, spec)
+            return shift, np.where(h > 8.4, math.nan, factor)
+
+        z_a = _z_alpha(ALPHA)
+        want = intervals_mod._panel_width(geometry, 0.99, SPEC10, z_a)
+        assert want[1] > intervals_mod.MIN_PANELS + 1
+        bad = dataclasses.replace(geometry, terms=terms)
+        assert intervals_mod._panel_width(bad, 0.99, SPEC10, z_a) == want
 
 
 class TestMinCoverage:
@@ -484,19 +594,22 @@ class TestMinCoverage:
     #: (c_min, argmin_gamma) as the implementation that evaluated every
     #: golden-section step through Phi_interval and bvn_orthant found
     #: them, in hex: the prepared curves' slices must give the same bits.
+    #: The SD and SD_DELTA c_min that the lattice sized by the speed of
+    #: the interval's ends moved, by at most 4.4e-16 (argmins unchanged),
+    #: are those of that lattice, each within 9e-16 of h_quadrature.
     #: The "size0.1" rows take d = z_quantile(0.95) = 0x1.a515209676abbp+0.
     PINNED = {
         (0.37, "size0.1", "sd"): ("0x1.e491b23273929p-1", "0x1.2174b5cfe0b1cp+1"),
-        (0.37, "size0.1", "sd_delta"): ("0x1.e5346d31af357p-1", "0x1.f67bbed584201p+0"),
+        (0.37, "size0.1", "sd_delta"): ("0x1.e5346d31af353p-1", "0x1.f67bbed584201p+0"),
         (0.37, "size0.1", "pms"): ("0x1.d93dd68c66c8ap-1", "0x1.cfeb8156b87cdp+0"),
         (0.7, "size0.1", "sd"): ("0x1.dc64f92a9678cp-1", "0x1.22ef6d1feb52dp+1"),
-        (0.7, "size0.1", "sd_delta"): ("0x1.d8b4eb42590b8p-1", "0x1.dfd0f00a5c452p+0"),
+        (0.7, "size0.1", "sd_delta"): ("0x1.d8b4eb42590b5p-1", "0x1.dfd0f00a5c452p+0"),
         (0.7, "size0.1", "pms"): ("0x1.941881ab70618p-1", "0x1.d0ad6cfedb7e5p+0"),
         (-0.999, "size0.1", "sd"): ("0x1.c0317cf75fad5p-1", "0x1.f15609f7c746dp+0"),
-        (-0.999, "size0.1", "sd_delta"): ("0x1.8afda228da981p-1", "0x1.29db526702e08p+0"),
+        (-0.999, "size0.1", "sd_delta"): ("0x1.8afda228da982p-1", "0x1.29db526702e08p+0"),
         (-0.999, "size0.1", "pms"): ("0x1.e7ea8e1cfbf93p-5", "0x1.cac4b23316ab8p-3"),
-        (0.7, "d2", "sd"): ("0x1.d46e1e241bc17p-1", "0x1.1eba4902d8442p+1"),
-        (0.7, "d2", "sd_delta"): ("0x1.cec5d23d5f476p-1", "0x1.e6251a7be83adp+0"),
+        (0.7, "d2", "sd"): ("0x1.d46e1e241bc16p-1", "0x1.1eba4902d8442p+1"),
+        (0.7, "d2", "sd_delta"): ("0x1.cec5d23d5f477p-1", "0x1.e6251a7be83adp+0"),
         (0.7, "d2", "pms"): ("0x1.7322ba72a834dp-1", "0x1.fe8b92c766b5fp+0"),
     }
 
@@ -626,19 +739,20 @@ class TestCurve:
         (Quantity.SEL_DELTA, "length integrand produced a non-finite value"),
     ])
     def test_nan_factor_names_its_gamma(self, monkeypatch, quantity, message):
-        # The factor turns NaN on the lattice panels past h = 8.4.  At
-        # rho = 0.7 the panels are 0.4 wide and a window spans 41 of
-        # them from floor((gamma - 8) / 0.4): gamma 0 stops at 8.4, and
-        # 0.625 is the first gamma of the curve whose window reaches
-        # past it.  The length curve's normalizer is stubbed, so the
-        # minimizer, whose grid reaches it too, does not meet it first.
-        bad = 0.625
+        # The factor turns NaN on the lattice panels past h = 8.8.  At
+        # rho = 0.7 the panels are 0.8 wide and a window spans 21 of
+        # them from floor((gamma - 8) / 0.8): gammas 0 and 0.625 stop at
+        # 8.8, and 1.25 is the first gamma of the curve whose window
+        # reaches past it.  The length curve's normalizer is stubbed, so
+        # the minimizer, whose grid reaches it too, does not meet it
+        # first.
+        bad = 1.25
         geometry = kernel.RULES[IntervalRule.SD_DELTA]
 
         def nan_factor(h, rho, spec):
             shift, factor = geometry.terms(h, rho, spec)
             factor = np.array(factor, dtype=float)
-            factor[h > 8.4] = math.nan
+            factor[h > 8.8] = math.nan
             return shift, factor
 
         monkeypatch.setitem(kernel.RULES, IntervalRule.SD_DELTA,
@@ -669,16 +783,17 @@ class TestPreparedCurve:
 
     @staticmethod
     def bad_factor(monkeypatch, value):
-        # The factor turns ``value`` on the lattice panels past h = 8.4:
-        # at rho = 0.7 a window spans 41 panels 0.4 wide from
-        # floor((gamma - 8) / 0.4), so gamma 0.625 reaches them and 0.3
-        # does not.
+        # The factor turns ``value`` on the lattice panels past h = 8.8:
+        # at rho = 0.7 a window spans 21 panels 0.8 wide from
+        # floor((gamma - 8) / 0.8), so gamma 1 reaches them and 0.3
+        # does not.  A value of -0.5 jumps the ends at h = 8.8, which
+        # narrows the panels, and the same gammas hold.
         geometry = kernel.RULES[IntervalRule.SD_DELTA]
 
         def terms(h, rho, spec):
             shift, factor = geometry.terms(h, rho, spec)
             factor = np.array(factor, dtype=float)
-            factor[h > 8.4] = value
+            factor[h > 8.8] = value
             return shift, factor
 
         monkeypatch.setitem(kernel.RULES, IntervalRule.SD_DELTA,
@@ -692,8 +807,8 @@ class TestPreparedCurve:
         self.bad_factor(monkeypatch, value)
         fine = coverage_sd_delta(Scenario(0.3, 0.7), SPEC10, ALPHA)
         assert 0.0 < fine < 1.0
-        with pytest.raises(RuntimeError, match=f"gamma = 0.625: {message}"):
-            coverage_sd_delta(Scenario(0.625, 0.7), SPEC10, ALPHA)
+        with pytest.raises(RuntimeError, match=f"gamma = 1.0: {message}"):
+            coverage_sd_delta(Scenario(1.0, 0.7), SPEC10, ALPHA)
         # The kept span now holds the bad nodes; a window that does not
         # reach them still integrates.
         assert coverage_sd_delta(Scenario(0.3, 0.7), SPEC10, ALPHA) == fine
@@ -701,9 +816,9 @@ class TestPreparedCurve:
     def test_scalar_length_window_with_a_nan_factor_names_its_gamma(self, monkeypatch):
         self.bad_factor(monkeypatch, math.nan)
         assert sel_sd_delta(Scenario(0.3, 0.7), SPEC10, ALPHA, 0.9) > 0.0
-        with pytest.raises(RuntimeError, match="gamma = 0.625: length integrand produced "
+        with pytest.raises(RuntimeError, match="gamma = 1.0: length integrand produced "
                                                "a non-finite value"):
-            sel_sd_delta(Scenario(0.625, 0.7), SPEC10, ALPHA, 0.9)
+            sel_sd_delta(Scenario(1.0, 0.7), SPEC10, ALPHA, 0.9)
 
     @pytest.mark.parametrize("value, message", [
         (math.nan, "NaN endpoint"),
@@ -711,13 +826,13 @@ class TestPreparedCurve:
     ])
     def test_array_with_a_bad_factor_names_its_first_gamma_in_window_order(
             self, monkeypatch, value, message):
-        # 0.625 and 1.0 reach the bad panels; 0.625's window comes first.
+        # 1.0 and 1.8 reach the bad panels; 1.0's window comes first.
         self.bad_factor(monkeypatch, value)
-        grid = np.array([1.0, 0.625, 0.3])
-        with pytest.raises(RuntimeError, match=f"gamma = 0.625: {message}"):
+        grid = np.array([1.8, 1.0, 0.3])
+        with pytest.raises(RuntimeError, match=f"gamma = 1.0: {message}"):
             coverage_sd_delta(Scenario(grid, 0.7), SPEC10, ALPHA)
         if math.isnan(value):
-            with pytest.raises(RuntimeError, match="gamma = 0.625: length integrand produced "
+            with pytest.raises(RuntimeError, match="gamma = 1.0: length integrand produced "
                                                    "a non-finite value"):
                 sel_sd_delta(Scenario(grid, 0.7), SPEC10, ALPHA, 0.9)
 
@@ -725,8 +840,8 @@ class TestPreparedCurve:
             self, monkeypatch):
         self.bad_factor(monkeypatch, math.nan)
         intervals_mod._prepared.cache_clear()
-        with pytest.raises(RuntimeError, match="gamma = 0.625: NaN endpoint"):
-            coverage_sd_delta(Scenario(0.625, 0.7), SPEC10, ALPHA)
+        with pytest.raises(RuntimeError, match="gamma = 1.0: NaN endpoint"):
+            coverage_sd_delta(Scenario(1.0, 0.7), SPEC10, ALPHA)
         got = coverage_sd_delta(Scenario(np.array([0.0, 0.3]), 0.7), SPEC10, ALPHA)
         intervals_mod._prepared.cache_clear()
         fresh = [coverage_sd_delta(Scenario(g, 0.7), SPEC10, ALPHA) for g in (0.0, 0.3)]
@@ -816,10 +931,11 @@ class TestPreparedCurve:
 
         monkeypatch.setitem(kernel.RULES, IntervalRule.SD_DELTA,
                             dataclasses.replace(geometry, terms=terms))
-        # 41-panel windows of 10 nodes, 0.4 wide: gamma 1 and 2 start
-        # at panels -18 and -15, so the second adds three panels.
+        # The lattice is sized on the 40 points 0, 0.25, ..., d + 8; its
+        # windows are 21 panels of 10 nodes, 0.8 wide, and gamma 1 and 2
+        # start at panels -9 and -8, so the second adds one panel.
         values = [coverage_sd_delta(Scenario(g, 0.7), SPEC10, ALPHA) for g in (1.0, 2.0)]
-        assert evaluated == [410, 30]
+        assert evaluated == [40, 210, 10]
         intervals_mod._prepared.cache_clear()
         assert coverage_sd_delta(Scenario(2.0, 0.7), SPEC10, ALPHA) == values[1]
 

@@ -30,8 +30,10 @@ size 0.1 and rho in {0.7, 0.99, 0.999}, the largest distance of the
 side's SD, SD_DELTA and PMS coverages and SD and SD_DELTA scaled
 lengths from the independent quadrature ``tests/helpers.h_quadrature``
 of this tool's own checkout, so that both sides are measured with one
-yardstick.  That oracle reads each rule from ``kernel.RULES[rule].terms``,
-so both sides must have it.
+yardstick, and the same for the SD and SD_DELTA coverages on 81 gammas
+from 0 to d + 8 at each (d, rho, alpha) of ACCURACY_CORNERS.  That
+oracle reads each rule from ``kernel.RULES[rule].terms``, so both sides
+must have it.
 """
 
 from __future__ import annotations
@@ -167,6 +169,9 @@ def side_outcome(runs: list[dict]) -> dict:
 
 
 ACCURACY_RHOS = (0.7, 0.99, 0.999)
+#: (d, rho, alpha) of large cutoffs and small alpha, where the panels
+#: must follow the speed of the interval's ends, not of its center alone.
+ACCURACY_CORNERS = ((30.0, 0.9, 1e-14), (10.0, 0.99, 1e-14), (10.0, 0.9, 1e-8))
 #: The yardstick of the accuracy block, taken from this tool's checkout.
 REFINED = "tests/helpers.h_quadrature"
 
@@ -200,10 +205,22 @@ def print_accuracy() -> None:
         cp, _ = helpers.h_quadrature(gammas, rho, spec, alpha, IntervalRule.PMS)
         row["coverage_pms"] = np.max(np.abs(intervals.coverage_pms(grid, spec, alpha) - cp))
         block[repr(rho)] = {name: float(err) for name, err in row.items()}
+    corners = {}
+    for d, rho, small in ACCURACY_CORNERS:
+        spec_d = PretestSpec.from_cutoff(d)
+        grid_d = np.linspace(0.0, d + 8.0, 81)
+        row = {}
+        for rule, cov in ((IntervalRule.SD, intervals.coverage_sd),
+                          (IntervalRule.SD_DELTA, intervals.coverage_sd_delta)):
+            cp, _ = helpers.h_quadrature(grid_d, rho, spec_d, small, rule)
+            row[cov.__name__] = float(np.max(np.abs(
+                cov(intervals.Scenario(grid_d, rho), spec_d, small) - cp)))
+        corners[f"d={d} rho={rho} alpha={small}"] = row
     refined = {"oracle": REFINED, "panels_per_unit": helpers.H_PANELS_PER_UNIT,
                "order": helpers.H_ORDER}
     print(json.dumps({"gammas": "0 to 12 step 0.05", "pretest_size": 0.1, "alpha": alpha,
-                      "refined": refined, "max_abs_error": block}))
+                      "refined": refined, "max_abs_error": block,
+                      "corners": {"gammas": "81 from 0 to d + 8", "max_abs_error": corners}}))
 
 
 def accuracy(side: pathlib.Path) -> dict:

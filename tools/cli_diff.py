@@ -47,10 +47,11 @@ CURVE = ["curve", "--quantity", "cp", "--rho", "0"]
 
 #: Each help text, a small valid call of every subcommand, calls whose
 #: normal quantiles lie in the body and the far tails, calls that reach
-#: the narrow lattice of |rho| near 1, the closed-form PMS coverage, the
-#: merge of a prepared curve's kept span and the coverages a later array
-#: reuses, and each argument and validation error, grids too large to
-#: build and CSV fields too long to read included.
+#: the narrow lattices of |rho| near 1 and of large cutoffs at small
+#: alpha, the closed-form PMS coverage, the merge of a prepared curve's
+#: kept span and the coverages a later array reuses, and each argument
+#: and validation error, grids too large to build and CSV fields too
+#: long to read included.
 CORPUS = [
     ["-h"],
     *([name, "-h"] for name in ("curve", "figure1", "cmin", "fit", "verify")),
@@ -65,6 +66,11 @@ CORPUS = [
     [*CMIN, "--alpha", "1e-15"],
     [*CMIN, "--pretest-size", "1e-15"],
     ["cmin", "--rho", "-0.999", "--pretest-size", "0.05", "--rules", "sd_delta,pms"],
+    # Large cutoffs and small alpha, where the lattice follows the speed
+    # of the interval's ends.
+    ["cmin", "--rho", "0.9", "--cutoff-d", "10", "--alpha", "1e-8"],
+    ["curve", "--quantity", "cp_delta", "--rho", "0.99", "--cutoff-d", "10", "--alpha", "1e-14",
+     "--gamma-max", "18", "--step", "1.5"],
     ["curve", "--quantity", "cp_pms", "--rho", "0.9", "--gamma-max", "3", "--step", "0.05"],
     # The sel grid reaches past the minimizer's, so the SD curve's kept
     # span grows by a merge.
