@@ -21,6 +21,8 @@ from . import linmod, oracle
 from .intervals import (
     _COVERAGE_BY_RULE,
     _SEL_BY_RULE,
+    REFINEMENT_TOL,
+    SEARCH_GRID_STEP,
     CurveTable,
     IntervalRule,
     Quantity,
@@ -179,8 +181,9 @@ def _resolve_spec(args: argparse.Namespace) -> PretestSpec:
 
 def _check_args(args: argparse.Namespace) -> None:
     """Check the flags ``args.command`` has and set the parsed values its
-    handler reads: ``args.spec`` always, ``args.quantity`` for curve and
-    ``args.rules`` for cmin."""
+    handler reads: ``args.spec`` always and ``args.rules`` for cmin.
+    ``args.quantity`` stays the string argparse's choices admitted;
+    curve converts it."""
     command = args.command
     args.spec = _resolve_spec(args)
     alpha = args.alpha
@@ -205,9 +208,7 @@ def _check_args(args: argparse.Namespace) -> None:
         except ValueError as exc:
             raise CLIError(f"--rho: {exc}") from exc
 
-    if command == "curve":
-        args.quantity = Quantity(args.quantity)
-    elif command == "cmin":
+    if command == "cmin":
         try:
             rules = tuple(IntervalRule(tok.strip()) for tok in args.rules.split(",") if tok.strip())
         except ValueError as exc:
@@ -241,13 +242,8 @@ def _emit(path: str | None, lines: list[str]) -> None:
         raise CLIError(f"cannot write {path}: {exc}") from exc
 
 
-def _curve_rows(table: CurveTable) -> list[str]:
-    meta = (
-        table.quantity.value,
-        _fmt(table.scenario_rho),
-        _fmt(table.alpha),
-        _fmt(table.pretest.alpha1),
-    )
+def _curve_rows(table: CurveTable, args: argparse.Namespace) -> list[str]:
+    meta = (table.quantity.value, _fmt(args.rho), _fmt(args.alpha), _fmt(args.spec.alpha1))
     return [
         ",".join((_fmt(g), _fmt(v)) + meta)
         for g, v in zip(table.gammas, table.values)
@@ -257,7 +253,7 @@ def _curve_rows(table: CurveTable) -> list[str]:
 def cmd_curve(args: argparse.Namespace) -> int:
     """Write one quantity's gamma grid as CSV."""
     table = curve(args.quantity, args.rho, args.spec, args.alpha, args.gamma_max, args.step)
-    _emit(args.out, ["gamma,value,quantity,rho,alpha,pretest_size"] + _curve_rows(table))
+    _emit(args.out, ["gamma,value,quantity,rho,alpha,pretest_size"] + _curve_rows(table, args))
     return EXIT_OK
 
 
@@ -285,7 +281,7 @@ def cmd_cmin(args: argparse.Namespace) -> int:
     for rule in args.rules:
         rep = min_coverage(args.rho, args.spec, args.alpha, rule)
         rows.append((rule.value, _fmt(rep.c_min), _fmt(rep.argmin_gamma),
-                     _fmt(rep.search_grid_step), _fmt(rep.refinement_tolerance)))
+                     _fmt(SEARCH_GRID_STEP), _fmt(REFINEMENT_TOL)))
     for row in rows:
         print("rule={} c_min={} argmin_gamma={} grid_step={} refinement_tolerance={}"
               .format(*row))
@@ -313,14 +309,17 @@ def cmd_fit(args: argparse.Namespace) -> int:
     except linmod.SingularDesignError as exc:
         raise CLIError(f"singular design: {exc}") from exc
     diag = linmod.residual_check(data, fitted)
+    # Every interval is built before anything prints, so a rule that
+    # fails leaves stdout empty.
+    reports = [build_interval(fitted, args.spec, args.alpha, rule)
+               for rule in (IntervalRule.SD, IntervalRule.SD_DELTA, IntervalRule.PMS,
+                            IntervalRule.FULL_MODEL)]
     for name in ("theta_hat", "gamma_hat", "sigma", "v_theta", "v_tau", "rho"):
         print(f"{name}={_fmt(getattr(fitted, name))}")
     print(f"rss={_fmt(diag.rss)} dof={diag.dof} scaled_ratio={_fmt(diag.scaled_ratio)}")
-    for rule in (IntervalRule.SD, IntervalRule.SD_DELTA, IntervalRule.PMS,
-                 IntervalRule.FULL_MODEL):
-        report = build_interval(fitted, args.spec, args.alpha, rule)
+    for report in reports:
         print(
-            f"interval rule={rule.value} lower={_fmt(report.lower)} "
+            f"interval rule={report.rule.value} lower={_fmt(report.lower)} "
             f"upper={_fmt(report.upper)} center={_fmt(report.center)} "
             f"half_width={_fmt(report.half_width)} "
             f"nominal_coverage={_fmt(report.nominal_coverage)}"

@@ -76,7 +76,7 @@ def phi(x: float | np.ndarray) -> float | np.ndarray:
         raise ValueError("phi: input must be finite")
     with np.errstate(over="ignore"):
         out = _density(arr)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    return float(out) if arr.ndim == 0 else out
 
 
 def _density(x: np.ndarray) -> np.ndarray:
@@ -102,7 +102,7 @@ def Phi(x: float | np.ndarray) -> float | np.ndarray:
     if np.any(np.isnan(arr)):
         raise ValueError("Phi: NaN input")
     out = _upper_tail(-arr)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    return float(out) if arr.ndim == 0 else out
 
 
 def z_quantile(a: float) -> float:
@@ -171,7 +171,7 @@ def Phi_interval(
     if np.any(l_arr > u_arr):
         raise ValueError("Phi_interval: lower endpoint exceeds upper endpoint")
     p = _interval(l_arr, u_arr, mu_arr, np.sqrt(v_arr))
-    scalar = all(np.isscalar(t) or np.asarray(t).ndim == 0 for t in (l, u, mu, v))
+    scalar = all(np.ndim(t) == 0 for t in (l, u, mu, v))
     return float(p) if scalar else p
 
 

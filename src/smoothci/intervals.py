@@ -173,27 +173,31 @@ class Scenario:
 
 @dataclass(frozen=True)
 class IntervalReport:
-    """A realized confidence interval plus its construction metadata."""
+    """A realized confidence interval: its ends, the rule that built it
+    and its nominal coverage.  The center and half width are derived
+    from the ends."""
 
     lower: float
     upper: float
-    center: float
-    half_width: float
     rule: IntervalRule
     nominal_coverage: float
 
+    @property
+    def center(self) -> float:
+        return 0.5 * (self.lower + self.upper)
+
+    @property
+    def half_width(self) -> float:
+        return 0.5 * (self.upper - self.lower)
+
     def __post_init__(self) -> None:
+        # Finite ends can still have an infinite half width: upper - lower
+        # overflows once the ends pass about +-9e307.
         for name in ("lower", "upper", "center", "half_width"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"IntervalReport: {name} must be finite")
         if self.lower > self.upper:
             raise ValueError("IntervalReport: lower exceeds upper")
-        if self.half_width < 0.0:
-            raise ValueError("IntervalReport: negative half width")
-        if self.center != 0.5 * (self.lower + self.upper):
-            raise ValueError("IntervalReport: center is not the midpoint")
-        if self.half_width != 0.5 * (self.upper - self.lower):
-            raise ValueError("IntervalReport: half width does not match the endpoints")
         if not 0.0 < self.nominal_coverage < 1.0:
             raise ValueError("IntervalReport: nominal coverage must be in (0, 1)")
         if not isinstance(self.rule, IntervalRule):
@@ -202,12 +206,12 @@ class IntervalReport:
 
 @dataclass(frozen=True)
 class MinCoverageReport:
-    """Result of minimizing a coverage curve over gamma >= 0."""
+    """Result of minimizing a coverage curve over gamma >= 0.  The grid
+    step and the tolerance of the search are the module constants
+    SEARCH_GRID_STEP and REFINEMENT_TOL."""
 
     c_min: float
     argmin_gamma: float
-    search_grid_step: float
-    refinement_tolerance: float
 
     def __post_init__(self) -> None:
         # A true minimum below the smallest double reads 0.0: a result,
@@ -216,20 +220,17 @@ class MinCoverageReport:
             raise ValueError("MinCoverageReport: c_min must be in [0, 1)")
         if not self.argmin_gamma >= 0.0:
             raise ValueError("MinCoverageReport: argmin_gamma must be >= 0")
-        if self.search_grid_step <= 0.0 or self.refinement_tolerance <= 0.0:
-            raise ValueError("MinCoverageReport: step and tolerance must be positive")
 
 
 @dataclass(frozen=True, eq=False)
 class CurveTable:
-    """One tabulated quantity on a uniform gamma grid, ready for CSV."""
+    """One tabulated quantity on a uniform gamma grid.  The rho, alpha
+    and pretest it was computed at are the caller's arguments to curve,
+    not kept here."""
 
     gammas: np.ndarray
     values: np.ndarray
     quantity: Quantity
-    scenario_rho: float
-    alpha: float
-    pretest: PretestSpec
 
     def __post_init__(self) -> None:
         gammas = np.asarray(self.gammas, dtype=float)
@@ -275,13 +276,9 @@ def build_interval(
     shift, factor = kernel.RULES[which].terms(fit.gamma_hat, fit.rho, spec)
     center = kernel._center(fit, shift)
     half_width = z_a * scale * float(factor)
-    lower = center - half_width
-    upper = center + half_width
     return IntervalReport(
-        lower=lower,
-        upper=upper,
-        center=0.5 * (lower + upper),
-        half_width=0.5 * (upper - lower),
+        lower=center - half_width,
+        upper=center + half_width,
         rule=which,
         nominal_coverage=1.0 - alpha,
     )
@@ -601,7 +598,9 @@ def coverage_pms(scenario: Scenario, spec: PretestSpec, alpha: float) -> float |
     |rho|, so the coverage is even in rho bit for bit, and with
     Phi_interval's reflection-exact formula, so it is even in gamma bit
     for bit.
-    At rho = 0 it is identically 1 - alpha.
+    At rho = 0 it is 1 - alpha within a few ulps, not exactly: the
+    terms round differently at each gamma, so the argmin of a flat
+    curve is picked by its last bits.
     """
     z_a = _z_alpha(_check_alpha(alpha))
     rho, d = abs(scenario.rho), spec.d
@@ -692,12 +691,7 @@ def min_coverage(rho: float, spec: PretestSpec, alpha: float,
     hi = grid[i + 1]
     g_ref, v_ref = _golden_min(f, float(lo), float(hi), GAMMA_TOL)
     best_g, best_v = (g_ref, v_ref) if v_ref < vals[i] else (float(grid[i]), float(vals[i]))
-    return MinCoverageReport(
-        c_min=best_v,
-        argmin_gamma=best_g,
-        search_grid_step=SEARCH_GRID_STEP,
-        refinement_tolerance=REFINEMENT_TOL,
-    )
+    return MinCoverageReport(c_min=best_v, argmin_gamma=best_g)
 
 
 def _scaled_length(
@@ -713,7 +707,13 @@ def _scaled_length(
     calibrated to confidence level c_min, so the ratio is
     z_{1 - alpha/2} E[factor(h)] / z_{(1 + c_min)/2}, the expectation
     taken on the same h-lattice windows as the coverage, as 1 plus
-    that of factor - 1 (the flat rate's factor), for the same reasons.
+    that of factor - 1 (the flat rate's factor), so at rho = 0 the ratio
+    is flat in gamma.  Unlike the coverage's departure, factor - 1 is
+    not bounded by 1: for SD_DELTA at large cutoffs it reaches about
+    rho d / sqrt(2 pi), so the 1.2e-15 of density mass beyond a window
+    leaves out up to about 1.2e-15 rho d / sqrt(2 pi) of the ratio:
+    sel_sd_delta is 1.1e-14 from an integral over the whole support at
+    d 18.3, rho 0.992, alpha 5.1e-7, gamma 10.33.
     A c_min below C_MIN_FLOOR is refused: the coverage integral that
     gives it rounds by about 1e-15, so such a c_min may be all rounding
     and its quantile off by more than 1e-9 of itself.
@@ -802,11 +802,4 @@ def curve(
     else:
         c_min = min_coverage(rho, spec, alpha, rule).c_min
         values = _SEL_BY_RULE[rule](Scenario(grid, rho), spec, alpha, c_min)
-    return CurveTable(
-        gammas=grid,
-        values=values,
-        quantity=quantity,
-        scenario_rho=rho,
-        alpha=alpha,
-        pretest=spec,
-    )
+    return CurveTable(gammas=grid, values=values, quantity=quantity)

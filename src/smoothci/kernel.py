@@ -157,9 +157,9 @@ def _finite(gamma, name: str) -> np.ndarray:
     return g
 
 
-def _like(gamma, g: np.ndarray, out):
-    """A float for a scalar gamma, else the array."""
-    return float(out) if np.isscalar(gamma) or g.ndim == 0 else out
+def _like(g: np.ndarray, out):
+    """A float for a 0-d g, else the array."""
+    return float(out) if g.ndim == 0 else out
 
 
 def _k_q(g: np.ndarray, spec: PretestSpec):
@@ -185,7 +185,7 @@ def k(gamma: float | np.ndarray, spec: PretestSpec) -> float | np.ndarray:
     |gamma| is a few units past d.
     """
     g = _finite(gamma, "k")
-    return _like(gamma, g, _k_q(g, spec)[0])
+    return _like(g, _k_q(g, spec)[0])
 
 
 def q(gamma: float | np.ndarray, spec: PretestSpec) -> float | np.ndarray:
@@ -199,7 +199,7 @@ def q(gamma: float | np.ndarray, spec: PretestSpec) -> float | np.ndarray:
     scale factor below real and positive.
     """
     g = _finite(gamma, "q")
-    return _like(gamma, g, _k_q(g, spec)[1])
+    return _like(g, _k_q(g, spec)[1])
 
 
 _SQRT3 = math.sqrt(3.0)
@@ -295,7 +295,7 @@ def r(gamma: float | np.ndarray, rho: float, spec: PretestSpec) -> float | np.nd
     _, cov, var = _moments(g.ravel(), spec)
     arg = 1.0 - 2.0 * rho * rho * cov + rho * rho * var
     scale = _clamped_sqrt(arg, "r", "; the kernel moment identities are violated")
-    return _like(gamma, g, scale.reshape(g.shape))
+    return _like(g, scale.reshape(g.shape))
 
 
 def r_delta(
@@ -387,7 +387,7 @@ def _sd_delta_terms(h, rho: float, spec: PretestSpec):
     rho = _check_rho(rho)
     g = _finite(h, "r_delta")
     kv, qv = _k_q(g, spec)
-    return rho * _like(h, g, kv), _like(h, g, _delta_factor(qv, rho))
+    return rho * _like(g, kv), _like(g, _delta_factor(qv, rho))
 
 
 #: The four interval rules.  PMS keeps the restricted fit and its

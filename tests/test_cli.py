@@ -6,6 +6,7 @@ subcommand, for the program's exit codes and its broken-pipe exit.
 """
 
 import argparse
+import pathlib
 import re
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from smoothci import cli as cli_module
 
 BASE = [sys.executable, "-m", "smoothci"]
 
+DATA_DIR = pathlib.Path(__file__).parent / "data"
 X_ROWS = ["1,0", "0,1", "1,0", "0,1"]
 Y_ROWS = ["1", "2", "3", "4"]
 
@@ -75,6 +77,16 @@ class TestCurve:
             assert value == "0.95"
             assert quantity == "cp"
             assert (rho, alpha, a1) == ("0", "0.05", "0.1")
+
+    def test_metadata_columns_echo_the_flags(self, cli):
+        res = cli("curve", "--quantity", "sel", "--rho", "-0.4", "--alpha", "0.1",
+                  "--cutoff-d", "2", "--gamma-max", "1", "--step", "0.5")
+        assert res.returncode == 0
+        lines = res.stdout.strip().split("\n")
+        assert len(lines) == 4
+        # 2 Phi(-2) is the size of the pretest with cutoff 2.
+        for line in lines[1:]:
+            assert line.split(",")[2:] == ["sel", "-0.4", "0.1", "0.0455002638964"]
 
     def test_byte_identical_reruns(self, cli):
         args = ("curve", "--quantity", "cp_delta", "--rho", "0.7",
@@ -213,6 +225,20 @@ class TestFit:
         endpoint_fields = {" ".join(ln.split()[2:4]) for ln in intervals}
         assert len(endpoint_fields) == 1
         assert all("nominal_coverage=0.95" in ln for ln in intervals)
+
+    def test_failed_rule_prints_nothing(self, cli, tmp_path):
+        # A nearly collinear design: the fitted rho, -0.999999985, is past
+        # the cap the SD rule accepts, so no summary line may print.
+        design = tmp_path / "collinear.csv"
+        design.write_text("".join(f"1,{i},{i}.{'001' if i % 2 else '000'}\n"
+                                  for i in range(1, 11)))
+        res = cli("fit", "--design", str(design),
+                  "--response", str(DATA_DIR / "response.csv"),
+                  "--theta-vec", str(DATA_DIR / "theta_vec.csv"),
+                  "--tau-vec", str(DATA_DIR / "tau_vec.csv"), "--sigma", "1")
+        assert (res.returncode, res.stdout, res.stderr) == (
+            1, "", "error: correlation magnitude 0.9999999853067315 exceeds the "
+                   "supported cap 0.999\n")
 
     def test_parse_error_cites_location(self, cli, tmp_path):
         args = write_fit_files(tmp_path, y_rows=["1", "oops", "3", "4"])

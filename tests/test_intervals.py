@@ -105,25 +105,24 @@ class TestHugeGammas:
 
 
 class TestIntervalReport:
-    def test_midpoint_enforced(self):
-        with pytest.raises(ValueError, match="midpoint"):
-            IntervalReport(lower=0.0, upper=2.0, center=1.1, half_width=1.0,
-                           rule=IntervalRule.SD, nominal_coverage=0.95)
-
-    def test_half_width_enforced(self):
-        with pytest.raises(ValueError, match="half width"):
-            IntervalReport(lower=0.0, upper=2.0, center=1.0, half_width=0.9,
-                           rule=IntervalRule.SD, nominal_coverage=0.95)
-
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):
-            IntervalReport(lower=2.0, upper=0.0, center=1.0, half_width=-1.0,
-                           rule=IntervalRule.SD, nominal_coverage=0.95)
+            IntervalReport(lower=2.0, upper=0.0, rule=IntervalRule.SD, nominal_coverage=0.95)
 
     def test_nominal_coverage_open_interval(self):
         with pytest.raises(ValueError):
-            IntervalReport(lower=0.0, upper=2.0, center=1.0, half_width=1.0,
-                           rule=IntervalRule.SD, nominal_coverage=1.0)
+            IntervalReport(lower=0.0, upper=2.0, rule=IntervalRule.SD, nominal_coverage=1.0)
+
+    def test_center_and_half_width_from_the_ends(self):
+        rep = IntervalReport(lower=0.5, upper=2.0, rule=IntervalRule.SD, nominal_coverage=0.95)
+        assert (rep.center, rep.half_width) == (1.25, 0.75)
+
+    def test_half_width_overflow_refused(self):
+        # Both ends are finite, +-1.019e308, but upper - lower overflows.
+        fit = FittedModel(theta_hat=0.0, gamma_hat=0.0, sigma=5.2e307,
+                          v_theta=1.0, v_tau=1.0, rho=0.5)
+        with pytest.raises(ValueError, match="half_width must be finite"):
+            build_interval(fit, SPEC10, ALPHA, IntervalRule.FULL_MODEL)
 
 
 class TestBuildInterval:
@@ -627,17 +626,13 @@ class TestMinCoverage:
 
     def test_report_validation(self):
         with pytest.raises(ValueError):
-            MinCoverageReport(c_min=1.0, argmin_gamma=0.0,
-                              search_grid_step=0.05, refinement_tolerance=1e-7)
+            MinCoverageReport(c_min=1.0, argmin_gamma=0.0)
         with pytest.raises(ValueError):
-            MinCoverageReport(c_min=-1e-300, argmin_gamma=0.0,
-                              search_grid_step=0.05, refinement_tolerance=1e-7)
+            MinCoverageReport(c_min=-1e-300, argmin_gamma=0.0)
         # a minimum coverage that underflows to zero is a result
-        MinCoverageReport(c_min=0.0, argmin_gamma=3.0,
-                          search_grid_step=0.05, refinement_tolerance=1e-7)
+        MinCoverageReport(c_min=0.0, argmin_gamma=3.0)
         with pytest.raises(ValueError):
-            MinCoverageReport(c_min=0.9, argmin_gamma=-1.0,
-                              search_grid_step=0.05, refinement_tolerance=1e-7)
+            MinCoverageReport(c_min=0.9, argmin_gamma=-1.0)
 
 
 class TestScaledExpectedLength:
@@ -702,11 +697,8 @@ class TestCurve:
             assert v == direct
 
     def test_metadata_carried_through(self):
-        tab = curve(Quantity.CP_PMS, 0.4, SPEC10, ALPHA, gamma_max=1.0, step=0.5)
+        tab = curve("cp_pms", 0.4, SPEC10, ALPHA, gamma_max=1.0, step=0.5)
         assert tab.quantity is Quantity.CP_PMS
-        assert tab.scenario_rho == 0.4
-        assert tab.alpha == ALPHA
-        assert tab.pretest is SPEC10
 
     def test_fine_pms_curve_builds_no_rule_and_no_prepared_curve(self):
         # The PMS coverage is closed form: a fine curve prepares no
@@ -757,8 +749,8 @@ class TestCurve:
 
         monkeypatch.setitem(kernel.RULES, IntervalRule.SD_DELTA,
                             dataclasses.replace(geometry, terms=nan_factor))
-        monkeypatch.setattr(intervals_mod, "min_coverage", lambda *args: MinCoverageReport(
-            c_min=0.9, argmin_gamma=1.0, search_grid_step=0.05, refinement_tolerance=1e-7))
+        monkeypatch.setattr(intervals_mod, "min_coverage",
+                            lambda *args: MinCoverageReport(c_min=0.9, argmin_gamma=1.0))
         with pytest.raises(RuntimeError, match=f"gamma = {bad}: .*{message}"):
             curve(quantity, 0.7, SPEC10, ALPHA, gamma_max=2.0, step=0.625)
 
@@ -948,21 +940,20 @@ class TestCurveTable:
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            CurveTable(gammas=np.array([0.0, 1.0]), values=np.array([0.5]),
-                       quantity=Quantity.CP, scenario_rho=0.0, alpha=0.05, pretest=SPEC10)
+            CurveTable(gammas=np.array([0.0, 1.0]), values=np.array([0.5]), quantity=Quantity.CP)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             CurveTable(gammas=np.array([1.0, 0.5]), values=np.array([0.5, 0.5]),
-                       quantity=Quantity.CP, scenario_rho=0.0, alpha=0.05, pretest=SPEC10)
+                       quantity=Quantity.CP)
         with pytest.raises(ValueError):
             CurveTable(gammas=np.array([-1.0, 0.5]), values=np.array([0.5, 0.5]),
-                       quantity=Quantity.CP, scenario_rho=0.0, alpha=0.05, pretest=SPEC10)
+                       quantity=Quantity.CP)
 
     def test_range_validation_by_quantity(self):
         with pytest.raises(ValueError):
             CurveTable(gammas=np.array([0.0, 1.0]), values=np.array([0.5, 1.5]),
-                       quantity=Quantity.CP, scenario_rho=0.0, alpha=0.05, pretest=SPEC10)
+                       quantity=Quantity.CP)
         with pytest.raises(ValueError):
             CurveTable(gammas=np.array([0.0, 1.0]), values=np.array([1.0, 0.0]),
-                       quantity=Quantity.SEL, scenario_rho=0.0, alpha=0.05, pretest=SPEC10)
+                       quantity=Quantity.SEL)

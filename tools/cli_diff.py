@@ -9,8 +9,10 @@ through its own ``smoothci.cli.main``, all of it in one fresh
 interpreter per side.  Every argv runs in an empty working directory
 that holds only the ``fit`` inputs, copied from this checkout's
 ``tests/data``, ``quoted.csv``, a design whose second record ends on
-its third line, and ``wide.csv``, whose first cell is one character
-longer than the csv module's default field limit of 131,072.  Relative
+its third line, ``wide.csv``, whose first cell is one character
+longer than the csv module's default field limit of 131,072, and
+``collinear.csv``, a design whose fitted rho, -0.999999985, is past
+the cap the SD rule accepts.  Relative
 paths keep each side's messages free of its export directory.
 
 The tool prints every argv whose exit code, stdout, stderr or written
@@ -38,6 +40,7 @@ from bench_compare import ROOT, export
 FIT_INPUTS = ("design.csv", "response.csv", "theta_vec.csv", "tau_vec.csv")
 QUOTED = '"1\n",2\n3,x\n'
 WIDE = "x" * 131073 + ",1\n"
+COLLINEAR = "".join(f"1,{i},{i}.{'001' if i % 2 else '000'}\n" for i in range(1, 11))
 #: fit's file flags after --design.
 FIT_REST = ["--response", "response.csv", "--theta-vec", "theta_vec.csv",
             "--tau-vec", "tau_vec.csv"]
@@ -48,10 +51,11 @@ CURVE = ["curve", "--quantity", "cp", "--rho", "0"]
 #: Each help text, a small valid call of every subcommand, calls whose
 #: normal quantiles lie in the body and the far tails, calls that reach
 #: the narrow lattices of |rho| near 1 and of large cutoffs at small
-#: alpha, the closed-form PMS coverage, the merge of a prepared curve's
-#: kept span and the coverages a later array reuses, and each argument
-#: and validation error, grids too large to build and CSV fields too
-#: long to read included.
+#: alpha, the closed-form PMS coverage, the flat coverage curves of
+#: rho = 0, the merge of a prepared curve's kept span and the coverages
+#: a later array reuses, and each argument and validation error, grids
+#: too large to build, CSV fields too long to read and a fit whose
+#: rho no smoothed rule accepts included.
 CORPUS = [
     ["-h"],
     *([name, "-h"] for name in ("curve", "figure1", "cmin", "fit", "verify")),
@@ -62,6 +66,8 @@ CORPUS = [
     CMIN,
     [*CMIN, "--rules", "pms, sd_delta", "--alpha", "0.1", "--out", "cmin.csv"],
     ["cmin", "--rho", "0.5", "--pretest-size", "0.999"],
+    # Every rule's coverage is flat; pms's argmin falls on its last bits.
+    ["cmin", "--rho", "0"],
     [*CMIN, "--alpha", "0.98"],
     [*CMIN, "--alpha", "1e-15"],
     [*CMIN, "--pretest-size", "1e-15"],
@@ -113,6 +119,7 @@ CORPUS = [
     [*FIT, "--sigma", "1", "--header"],
     ["fit", "--design", "quoted.csv", *FIT_REST, "--sigma", "1"],
     ["fit", "--design", "wide.csv", *FIT_REST, "--sigma", "1"],
+    ["fit", "--design", "collinear.csv", *FIT_REST, "--sigma", "1"],
     ["fit", "--design", "missing.csv", *FIT_REST, "--sigma", "1"],
 ]
 
@@ -130,6 +137,7 @@ def print_outcomes() -> None:
     inputs = {name: (ROOT / "tests" / "data" / name).read_bytes() for name in FIT_INPUTS}
     inputs["quoted.csv"] = QUOTED.encode()
     inputs["wide.csv"] = WIDE.encode()
+    inputs["collinear.csv"] = COLLINEAR.encode()
     outcomes = []
     home = os.getcwd()
     with tempfile.TemporaryDirectory(prefix="cli_diff_") as tmp:
