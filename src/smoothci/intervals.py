@@ -29,10 +29,13 @@ density, on a lattice of Gauss-Legendre panels anchored at h = 0 that
 does not depend on gamma: each gamma reads the window of whole panels
 covering [gamma - 8, gamma + 8].  The rule's shift and factor depend
 on h alone, so the pair is evaluated once per lattice node, not once
-per (gamma, node).  Everything an SD rule's coverage or length
+per (gamma, node).  The integrals read alpha only through the
+critical value z_a = z_{1 - alpha/2}: the public coverage and length
+functions check alpha and turn it into z_a, once per call, and nothing
+below them sees alpha.  Everything an SD rule's coverage or length
 evaluation needs that does not depend on gamma is prepared once per
-(rule, rho, spec, alpha) and cached (_prepared, the only cache the
-integrals keep): z_a, the nominal coverage, the lattice with its tiled
+(rule, rho, spec, z_a) and cached (_prepared, the only cache the
+integrals keep): the nominal coverage, the lattice with its tiled
 weights, and the shifts, factors and interval ends on a kept span of
 panels.  A single gamma, such as a golden-section step of the
 minimizer, then reads its window as slices of the kept span and costs
@@ -50,8 +53,8 @@ ends are ordered and all its factors finite; only when they are not
 does an integral check the windows it reads, so a failure still names
 its gamma and a clean span costs no check per window.  The panels are
 sized once per prepared curve by the speed of the interval's ends in h
-(_panel_width): they narrow as |rho| nears 1, the cutoff grows or alpha
-shrinks, where the integrand switches over a short range of h, and
+(_panel_width): they narrow as |rho| nears 1 and as the cutoff or z_a
+grows, where the integrand switches over a short range of h, and
 stay at MIN_PANELS over the support elsewhere.  Nothing here takes
 quadrature knobs: every integral uses the lattice's one rule, panels of
 DEFAULT_ORDER nodes.  The tests check it against an independent
@@ -317,7 +320,7 @@ def _panel_width(geometry: kernel.RuleGeometry, rho: float, spec: PretestSpec,
 
 class _Curve:
     """What a smoothed rule's coverage and length integrals need apart
-    from gamma, for one (rule, rho, spec, alpha).
+    from gamma, for one (rule, rho, spec, z_a); it never sees alpha.
 
     That is z_a, the nominal coverage, the h-lattice with its tiled
     weights, and the rule's shift and factor with the interval's ends
@@ -341,8 +344,8 @@ class _Curve:
     """
 
     def __init__(self, geometry: kernel.RuleGeometry, rho: float, spec: PretestSpec,
-                 alpha: float) -> None:
-        self.z_a = _z_alpha(alpha)
+                 z_a: float) -> None:
+        self.z_a = z_a
         self.width, self.window = _panel_width(geometry, rho, spec, self.z_a)
         half = 0.5 * self.width
         self.nodes, self.order = half * gauss._LEGENDRE[0], gauss.DEFAULT_ORDER
@@ -424,9 +427,13 @@ class _Curve:
 
 @lru_cache(maxsize=2)
 def _prepared(geometry: kernel.RuleGeometry, rho: float, spec: PretestSpec,
-              alpha: float) -> _Curve:
-    """The prepared curves of the last two (rule, rho, spec, alpha)
+              z_a: float) -> _Curve:
+    """The prepared curves of the last two (rule, rho, spec, z_a)
     integrated, one per smoothed rule.
+
+    The key is the critical value, which _coverage and _scaled_length
+    form from the alpha they check, so two alphas with one z_a share a
+    curve.
 
     Consecutive evaluations of one rule, such as the minimizer's grid
     and its golden-section steps, share one: each golden-section step
@@ -437,7 +444,7 @@ def _prepared(geometry: kernel.RuleGeometry, rho: float, spec: PretestSpec,
     gauss's one Legendre pair, built at import, and the closed-form PMS
     coverage needs none.
     """
-    return _Curve(geometry, rho, spec, alpha)
+    return _Curve(geometry, rho, spec, z_a)
 
 
 def _windows(curve: _Curve, gammas, names: tuple[str, ...]):
@@ -531,7 +538,7 @@ def _coverage(
     exactly flat in gamma, and the few 1e-15 of density mass beyond a
     window multiply only the departure.
     """
-    curve = _prepared(kernel.RULES[which], scenario.rho, spec, _check_alpha(alpha))
+    curve = _prepared(kernel.RULES[which], scenario.rho, spec, _z_alpha(_check_alpha(alpha)))
     if np.ndim(scenario.gamma) == 0:
         return float(_covered(curve, float(scenario.gamma), np.empty(1))[0])
     gammas = scenario.gamma
@@ -718,15 +725,15 @@ def _scaled_length(
     gives it rounds by about 1e-15, so such a c_min may be all rounding
     and its quantile off by more than 1e-9 of itself.
     """
-    alpha = _check_alpha(alpha)
+    z_a = _z_alpha(_check_alpha(alpha))
     c_min = float(c_min)
     if not 0.0 < c_min < 1.0:
         raise ValueError(f"scaled expected length: c_min must be in (0, 1), got {c_min}")
     if c_min < C_MIN_FLOOR:
         raise ValueError(f"scaled expected length: c_min = {c_min} is below {C_MIN_FLOOR}, "
                          "where the coverage integral's rounding can be all of it")
-    curve = _prepared(kernel.RULES[which], scenario.rho, spec, alpha)
-    ratio = curve.z_a / _z_level(c_min)
+    curve = _prepared(kernel.RULES[which], scenario.rho, spec, z_a)
+    ratio = z_a / _z_level(c_min)
     gammas = float(scenario.gamma) if np.ndim(scenario.gamma) == 0 else scenario.gamma
     out = np.empty(np.size(gammas))
     for positions, gamma, _, mass, clean, factor in _windows(curve, gammas, ("factor",)):

@@ -161,17 +161,19 @@ def residual_check(data: Dataset, fit_result: FittedModel) -> ResidualDiagnostic
     Under the assumed model the ratio is a chi-square on n - p degrees
     of freedom divided by its mean, so values far from 1 hint that the
     declared sigma does not match the data.  Purely informational.
+    A sigma^2 (n - p) past the largest double is taken as inf, so the
+    ratio reads 0 there instead of raising.
     """
     Q, _ = _qr(data)
     resid = data.y - Q @ (Q.T @ data.y)
     rss = float(resid @ resid)
     n, p = data.X.shape
     dof = n - p
-    return ResidualDiagnostic(
-        rss=rss,
-        dof=dof,
-        scaled_ratio=rss / (fit_result.sigma**2 * dof),
-    )
+    try:
+        scale = fit_result.sigma**2 * dof
+    except OverflowError:  # the float power raises where a product rounds to inf
+        scale = math.inf
+    return ResidualDiagnostic(rss=rss, dof=dof, scaled_ratio=rss / scale)
 
 
 def _parse_rows(path: str, header: bool) -> np.ndarray:

@@ -240,6 +240,17 @@ class TestFit:
             1, "", "error: correlation magnitude 0.9999999853067315 exceeds the "
                    "supported cap 0.999\n")
 
+    @pytest.mark.parametrize("sigma", ["1.3e154", "1.4e154"])
+    def test_sigma_whose_square_overflows_reads_a_zero_ratio(self, cli, sigma):
+        # Past about 1.34e154 sigma^2 itself overflows, and the ratio
+        # reads 0 as it does at 1.3e154, where only sigma^2 (n - p) does.
+        res = cli("fit", "--design", str(DATA_DIR / "design.csv"),
+                  "--response", str(DATA_DIR / "response.csv"),
+                  "--theta-vec", str(DATA_DIR / "theta_vec.csv"),
+                  "--tau-vec", str(DATA_DIR / "tau_vec.csv"), "--sigma", sigma)
+        assert (res.returncode, res.stderr) == (0, "")
+        assert "\nrss=0.335469348659 dof=7 scaled_ratio=0\n" in res.stdout
+
     def test_parse_error_cites_location(self, cli, tmp_path):
         args = write_fit_files(tmp_path, y_rows=["1", "oops", "3", "4"])
         res = cli("fit", *args, "--sigma", "1")

@@ -21,6 +21,7 @@ from smoothci import gauss, intervals, kernel
 from smoothci.gauss import (
     Phi,
     Phi_interval,
+    _z_alpha,
     phi,
     quadrature_rule,
     z_quantile,
@@ -318,7 +319,7 @@ class TestQuadratureRule:
         # panels -10 to 9 reproduce the composite rule of 20 panels on
         # [-8, 8].
         lattice = intervals._Curve(kernel.RULES[IntervalRule.SD], 0.0,
-                                   PretestSpec.from_cutoff(1.645), 0.05)
+                                   PretestSpec.from_cutoff(1.645), _z_alpha(0.05))
         assert lattice.width == 0.8 and lattice.window == 21
         plain = breakpoint_rule(panels=20)
         assert np.allclose(lattice.weights[:200], plain.weights, rtol=0, atol=1e-15)

@@ -266,7 +266,7 @@ def _edge_gammas(spec: PretestSpec, index: int) -> list[float]:
 
 def _width(rule: IntervalRule, rho: float, spec: PretestSpec) -> float:
     """Panel width W of the rule's h-lattice."""
-    return intervals_mod._prepared(kernel.RULES[rule], rho, spec, ALPHA).width
+    return intervals_mod._prepared(kernel.RULES[rule], rho, spec, _z_alpha(ALPHA)).width
 
 
 def _panel_edge_gammas(spec: PretestSpec, rule: IntervalRule, rho: float,
@@ -486,8 +486,8 @@ class TestLatticeSizing:
         # are the same panels and their coverages are even in rho bit
         # for bit.
         spec = PretestSpec.from_cutoff(d)
-        plus = intervals_mod._prepared(kernel.RULES[rule], rho, spec, ALPHA)
-        minus = intervals_mod._prepared(kernel.RULES[rule], -rho, spec, ALPHA)
+        plus = intervals_mod._prepared(kernel.RULES[rule], rho, spec, _z_alpha(ALPHA))
+        minus = intervals_mod._prepared(kernel.RULES[rule], -rho, spec, _z_alpha(ALPHA))
         assert (plus.width, plus.window) == (minus.width, minus.window)
         assert np.array_equal(plus.weights, minus.weights)
 
@@ -767,7 +767,8 @@ class TestPreparedCurve:
         x, w = np.polynomial.legendre.leggauss(gauss.DEFAULT_ORDER)
         spec = PretestSpec.from_cutoff(d)
         for rho in np.linspace(-0.999, 0.999, 41):
-            lattice = intervals_mod._Curve(kernel.RULES[IntervalRule.SD], float(rho), spec, ALPHA)
+            lattice = intervals_mod._Curve(kernel.RULES[IntervalRule.SD], float(rho), spec,
+                                           _z_alpha(ALPHA))
             half = 0.5 * lattice.width
             assert np.array_equal(lattice.nodes, half * x), rho
             panels = lattice.weights.reshape(lattice.window, gauss.DEFAULT_ORDER)
@@ -911,6 +912,36 @@ class TestPreparedCurve:
             sys.setswitchinterval(interval)
         assert not failures, failures[:3]
         assert not wrong, len(wrong)
+
+    @pytest.mark.parametrize("rule", [IntervalRule.SD, IntervalRule.SD_DELTA])
+    def test_prepared_curves_are_keyed_by_the_critical_value(self, rule):
+        # The public functions check alpha and turn it into z_a; their
+        # bits are the integrals' on the curve _prepared keys by z_a.
+        coverage = intervals_mod._COVERAGE_BY_RULE[rule]
+        length = intervals_mod._SEL_BY_RULE[rule]
+        grid = np.array([0.0, 0.7, 2.5, 9.0])
+        intervals_mod._prepared.cache_clear()
+        cp = coverage(Scenario(grid, 0.7), SPEC10, ALPHA)
+        sel = length(Scenario(grid, 0.7), SPEC10, ALPHA, 0.9)
+        intervals_mod._prepared.cache_clear()
+        curve = intervals_mod._prepared(kernel.RULES[rule], 0.7, SPEC10, _z_alpha(ALPHA))
+        assert np.array_equal(intervals_mod._covered(curve, grid, np.empty(grid.size)), cp)
+        factor = np.empty(grid.size)
+        for positions, _, _, mass, _, f in intervals_mod._windows(curve, grid, ("factor",)):
+            factor[positions] = 1.0 + intervals_mod._row_sums(mass, f - 1.0)
+        assert np.array_equal(_z_alpha(ALPHA) / _z_level(0.9) * factor, sel)
+        # 1 - alpha/2 rounds to one double for both alphas, so the second
+        # alpha's calls find the first one's curve.
+        alphas = (ALPHA, float(np.nextafter(ALPHA, 1.0)))
+        assert alphas[0] != alphas[1] and _z_alpha(alphas[0]) == _z_alpha(alphas[1])
+        intervals_mod._prepared.cache_clear()
+        values = []
+        for alpha in alphas:
+            values.append((coverage(Scenario(1.3, 0.7), SPEC10, alpha),
+                           length(Scenario(1.3, 0.7), SPEC10, alpha, 0.9)))
+        info = intervals_mod._prepared.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+        assert values[0] == values[1]
 
     def test_a_window_next_to_the_kept_span_adds_only_its_panels(self, monkeypatch):
         intervals_mod._prepared.cache_clear()

@@ -54,8 +54,8 @@ CURVE = ["curve", "--quantity", "cp", "--rho", "0"]
 #: alpha, the closed-form PMS coverage, the flat coverage curves of
 #: rho = 0, the merge of a prepared curve's kept span and the coverages
 #: a later array reuses, and each argument and validation error, grids
-#: too large to build, CSV fields too long to read and a fit whose
-#: rho no smoothed rule accepts included.
+#: too large to build, CSV fields too long to read, a fit whose rho no
+#: smoothed rule accepts and a sigma whose square overflows included.
 CORPUS = [
     ["-h"],
     *([name, "-h"] for name in ("curve", "figure1", "cmin", "fit", "verify")),
@@ -86,6 +86,8 @@ CORPUS = [
     ["figure1", "--rho", "0.7"],
     [*FIT, "--sigma", "1"],
     [*FIT, "--sigma", "0.5", "--pretest-size", "0.2"],
+    # sigma^2 is past the largest double.
+    [*FIT, "--sigma", "1.4e154"],
     ["verify", "--reps", "2000", "--seed", "9", "--tolerance", "50"],
     ["verify", "--reps", "2000", "--seed", "9", "--tolerance", "0.001"],
     [],
